@@ -13,28 +13,31 @@
 //! step benchmarks; on a single-core host the two coincide and the blocked
 //! kernel carries the whole speedup.
 //!
-//! SIMD policy: the conv / DP-step / ε standard rows are measured with the
-//! explicit SIMD kernels **disabled** (`set_simd_enabled(false)` — a no-op
-//! without the `simd` feature), so their speedups are comparable whether or
-//! not the bench was compiled with the feature; that is what lets the CI
+//! Kernel policy: every row names the [`Backend`] it runs under, and that
+//! backend fixes the GEMM arm ([`Kernel`]) for everything inside it,
+//! including pool workers. The `scalar` rows install [`Kernel::Reference`]
+//! (the seed's scalar loop). The conv / DP-step / nested rows install
+//! [`Kernel::Safe`], so their speedups are comparable whether or not the
+//! bench was compiled with the `simd` feature; that is what lets the CI
 //! regression gate, which builds without features, diff them against a
 //! record generated with `--features simd`. The matmul section is the
 //! exception: its `serial` / `parallel` rows record **production dispatch**
-//! (AVX-512 → AVX2 → safe, whatever this build and host resolve to) so the
-//! recorded milliseconds reflect what `matmul` actually delivers, and those
-//! rows carry no speedup metric (the absolute number is ISA-dependent, so
-//! gating its ratio across heterogeneous runners would be noise). The
-//! cross-config `serial_safe` / `serial_safe_noreorder` rows keep the safe
-//! kernel and carry `speedup_vs_scalar`; those are what `bench_regress`
-//! gates (the noreorder row pins the L1 B-strip-grouping delta — see
-//! `diva_tensor::gemm::set_l1_reorder`).
+//! (no forced arm: AVX-512 → AVX2 → safe, whatever this build and host
+//! resolve to) so the recorded milliseconds reflect what `matmul` actually
+//! delivers, and those rows carry no speedup metric (the absolute number is
+//! ISA-dependent, so gating its ratio across heterogeneous runners would be
+//! noise). The cross-config `serial_safe` row forces the safe kernel and
+//! carries `speedup_vs_scalar`; it is what `bench_regress` gates.
 //!
 //! Nested-scaling row: `dpsgd_step_b32_nested` runs the full DP-SGD step
-//! inside an outer 2-cell parallel region — the scenario-runner shape —
-//! with hierarchical nested scheduling on versus off. The `nested_on` row
-//! carries `speedup_vs_nonested`, gated by `bench_regress`: a change that
-//! silently re-serializes nested regions shows up as that ratio collapsing
-//! on multi-core hosts (on a single-core host both sides coincide at 1.0).
+//! inside an outer 2-cell parallel region — the scenario-runner shape.
+//! `nested_on` runs each cell's step at full width, so its inner regions
+//! fan out onto the pool; `nested_off` runs each cell's step under
+//! `Backend::serial()`, the serial collapse of the inner regions. The
+//! `nested_on` row carries `speedup_vs_nonested`, gated by `bench_regress`:
+//! a change that silently re-serializes nested regions shows up as that
+//! ratio collapsing on multi-core hosts (on a single-core host both sides
+//! coincide at 1.0).
 
 use std::hint::black_box;
 
@@ -49,8 +52,7 @@ use std::sync::Mutex;
 
 use diva_tensor::{
     conv2d, conv2d_backward_data, conv2d_backward_weight, matmul, matmul_reference, parallel,
-    set_l1_reorder, set_scalar_reference_mode, set_simd_enabled, Backend, Conv2dGeom, DivaRng,
-    Tensor,
+    Backend, Conv2dGeom, DivaRng, Kernel, Tensor,
 };
 
 /// GFLOP/s for a GEMM of the given shape at the measured seconds/iter.
@@ -70,7 +72,6 @@ fn bench_matmul(h: &mut Harness, sink: &mut PerfSink) {
     // to (AVX-512 → AVX2 → safe). These record what `matmul` actually
     // delivers; their absolute numbers are ISA-dependent, so they carry no
     // speedup metric and are not gated (see the module docs).
-    set_simd_enabled(true);
     h.bench("matmul_256/blocked_serial", || {
         Backend::serial().install(|| matmul(black_box(&a), &b))
     });
@@ -78,20 +79,13 @@ fn bench_matmul(h: &mut Harness, sink: &mut PerfSink) {
         Backend::auto().install(|| matmul(black_box(&a), &b))
     });
 
-    // Cross-config rows: explicit kernels off, so the numbers are
-    // comparable whether or not the bench was compiled with `simd`. The
-    // noreorder variant additionally disables the L1 B-strip grouping —
-    // its delta versus `safe_serial` is the reorder's contribution on this
-    // host (results are bit-identical either way).
-    set_simd_enabled(false);
+    // Cross-config row: the safe kernel forced, so the number is
+    // comparable whether or not the bench was compiled with `simd`.
     h.bench("matmul_256/safe_serial", || {
-        Backend::serial().install(|| matmul(black_box(&a), &b))
+        Backend::serial()
+            .with_kernel(Kernel::Safe)
+            .install(|| matmul(black_box(&a), &b))
     });
-    set_l1_reorder(false);
-    h.bench("matmul_256/safe_serial_noreorder", || {
-        Backend::serial().install(|| matmul(black_box(&a), &b))
-    });
-    set_l1_reorder(true);
 
     let scalar = h.get("matmul_256/scalar").unwrap().secs_per_iter;
     for (short, backend, gate) in [
@@ -99,7 +93,6 @@ fn bench_matmul(h: &mut Harness, sink: &mut PerfSink) {
         ("blocked_serial", "serial", false),
         ("blocked_parallel", "parallel", false),
         ("safe_serial", "serial_safe", true),
-        ("safe_serial_noreorder", "serial_safe_noreorder", true),
     ] {
         let secs = h.get(&format!("matmul_256/{short}")).unwrap().secs_per_iter;
         let mut record = PerfRecord::new("matmul_256x256x256")
@@ -125,22 +118,22 @@ fn bench_conv(h: &mut Harness, sink: &mut PerfSink) {
     let (p, q) = geom.out_hw();
     let macs = 8 * p * q * geom.patch_len() * geom.cout;
 
-    set_scalar_reference_mode(true);
     h.bench("conv_64c_b8/scalar", || {
-        let f = conv2d(black_box(&x), &w, &geom);
-        let g = conv2d_backward_weight(&x, black_box(&gy), &geom);
-        (f, g)
+        Backend::auto().with_kernel(Kernel::Reference).install(|| {
+            let f = conv2d(black_box(&x), &w, &geom);
+            let g = conv2d_backward_weight(&x, black_box(&gy), &geom);
+            (f, g)
+        })
     });
-    set_scalar_reference_mode(false);
     h.bench("conv_64c_b8/blocked_serial", || {
-        Backend::serial().install(|| {
+        Backend::serial().with_kernel(Kernel::Safe).install(|| {
             let f = conv2d(black_box(&x), &w, &geom);
             let g = conv2d_backward_weight(&x, black_box(&gy), &geom);
             (f, g)
         })
     });
     h.bench("conv_64c_b8/blocked_parallel", || {
-        Backend::auto().install(|| {
+        Backend::auto().with_kernel(Kernel::Safe).install(|| {
             let f = conv2d(black_box(&x), &w, &geom);
             let g = conv2d_backward_weight(&x, black_box(&gy), &geom);
             (f, g)
@@ -198,20 +191,18 @@ fn bench_dp_step(h: &mut Harness, sink: &mut PerfSink) {
             learning_rate: 0.05,
         };
 
-        set_scalar_reference_mode(true);
         let scalar_trainer = DpTrainer::builder()
             .config(config)
-            .backend(Backend::serial())
+            .backend(Backend::serial().with_kernel(Kernel::Reference))
             .build();
         h.bench(&format!("{label}/scalar"), || {
             scalar_trainer
                 .step(&mut net, black_box(&x), &labels, &mut rng)
                 .mean_loss
         });
-        set_scalar_reference_mode(false);
         let serial_trainer = DpTrainer::builder()
             .config(config)
-            .backend(Backend::serial())
+            .backend(Backend::serial().with_kernel(Kernel::Safe))
             .build();
         h.bench(&format!("{label}/blocked_serial"), || {
             serial_trainer
@@ -220,7 +211,7 @@ fn bench_dp_step(h: &mut Harness, sink: &mut PerfSink) {
         });
         let parallel_trainer = DpTrainer::builder()
             .config(config)
-            .backend(Backend::auto())
+            .backend(Backend::auto().with_kernel(Kernel::Safe))
             .build();
         h.bench(&format!("{label}/blocked_parallel"), || {
             parallel_trainer
@@ -249,11 +240,10 @@ fn bench_dp_step(h: &mut Harness, sink: &mut PerfSink) {
 
 /// The nested-scaling canary (see the module docs): full DP-SGD steps on
 /// two independent model replicas inside an outer parallel region — the
-/// shape the scenario runner's cell fan-out produces — with hierarchical
-/// nested scheduling on versus off. Under the old scheduler the inner
-/// per-example fan-out always collapsed to serial inside the outer region;
-/// the `nested_on` row's `speedup_vs_nonested` pins that this no longer
-/// happens (it reads ~1.0 on a single-core host, > 1 with real workers).
+/// shape the scenario runner's cell fan-out produces — with the inner
+/// regions at full width versus collapsed to serial. The `nested_on` row's
+/// `speedup_vs_nonested` pins that hierarchical scheduling beats the
+/// collapse (it reads ~1.0 on a single-core host, > 1 with real workers).
 fn bench_nested_step(h: &mut Harness, sink: &mut PerfSink) {
     const B: usize = 32;
     const CELLS: usize = 2;
@@ -276,24 +266,31 @@ fn bench_nested_step(h: &mut Harness, sink: &mut PerfSink) {
             Mutex::new((net, cell_rng))
         })
         .collect();
-    let trainer = DpTrainer::builder()
-        .config(config)
-        .backend(Backend::auto())
-        .build();
-    let run_cells = || {
-        parallel::par_map(CELLS, |c| {
-            let mut cell = cells[c].lock().unwrap();
-            let (net, cell_rng) = &mut *cell;
-            trainer
-                .step(net, black_box(&x), &labels, cell_rng)
-                .mean_loss
+    // A trainer installs its backend around each step, inside the outer
+    // cell task: `Backend::serial()` there is the serial collapse of the
+    // step's inner regions, the full-width backend lets them fan out.
+    let trainer = |inner: Backend| {
+        DpTrainer::builder()
+            .config(config)
+            .backend(inner.with_kernel(Kernel::Safe))
+            .build()
+    };
+    let run_cells = |trainer: &DpTrainer| {
+        Backend::auto().with_kernel(Kernel::Safe).install(|| {
+            parallel::par_map(CELLS, |c| {
+                let mut cell = cells[c].lock().unwrap();
+                let (net, cell_rng) = &mut *cell;
+                trainer
+                    .step(net, black_box(&x), &labels, cell_rng)
+                    .mean_loss
+            })
         })
     };
 
-    parallel::set_nested_parallelism(false);
-    h.bench(&format!("{label}/nested_off"), run_cells);
-    parallel::set_nested_parallelism(true);
-    h.bench(&format!("{label}/nested_on"), run_cells);
+    let collapsed = trainer(Backend::serial());
+    h.bench(&format!("{label}/nested_off"), || run_cells(&collapsed));
+    let nested = trainer(Backend::auto());
+    h.bench(&format!("{label}/nested_on"), || run_cells(&nested));
 
     let off = h.get(&format!("{label}/nested_off")).unwrap().secs_per_iter;
     for (short, backend) in [("nested_off", "nested_off"), ("nested_on", "nested_on")] {
@@ -340,20 +337,18 @@ fn bench_conv_dp_step(h: &mut Harness, sink: &mut PerfSink) {
         learning_rate: 0.05,
     };
 
-    set_scalar_reference_mode(true);
     let scalar_trainer = DpTrainer::builder()
         .config(config)
-        .backend(Backend::serial())
+        .backend(Backend::serial().with_kernel(Kernel::Reference))
         .build();
     h.bench(&format!("{label}/scalar"), || {
         scalar_trainer
             .step(&mut net, black_box(&x), &labels, &mut rng)
             .mean_loss
     });
-    set_scalar_reference_mode(false);
     let serial_trainer = DpTrainer::builder()
         .config(config)
-        .backend(Backend::serial())
+        .backend(Backend::serial().with_kernel(Kernel::Safe))
         .build();
     h.bench(&format!("{label}/blocked_serial"), || {
         serial_trainer
@@ -362,7 +357,7 @@ fn bench_conv_dp_step(h: &mut Harness, sink: &mut PerfSink) {
     });
     let parallel_trainer = DpTrainer::builder()
         .config(config)
-        .backend(Backend::auto())
+        .backend(Backend::auto().with_kernel(Kernel::Safe))
         .build();
     h.bench(&format!("{label}/blocked_parallel"), || {
         parallel_trainer
@@ -428,13 +423,16 @@ fn bench_conv_first_backward(h: &mut Harness, sink: &mut PerfSink) {
     let gy = Tensor::uniform(y.shape().dims(), -1.0, 1.0, &mut rng);
     let weight = layer.params()[0].clone();
 
+    let backend = Backend::auto().with_kernel(Kernel::Safe);
     h.bench(&format!("{label}/naive"), || {
-        let gx = conv2d_backward_data(black_box(&gy), &weight, &geom);
-        let norms = parallel::par_map(B, |i| naive_example_norm(&x, &gy, &geom, i));
-        (gx, norms)
+        backend.install(|| {
+            let gx = conv2d_backward_data(black_box(&gy), &weight, &geom);
+            let norms = parallel::par_map(B, |i| naive_example_norm(&x, &gy, &geom, i));
+            (gx, norms)
+        })
     });
     h.bench(&format!("{label}/fused"), || {
-        layer.backward_opt(&cache, black_box(&gy), GradMode::NormOnly, false)
+        backend.install(|| layer.backward_opt(&cache, black_box(&gy), GradMode::NormOnly, false))
     });
 
     // Sanity: both paths agree on the norms (bit parity is pinned by the
@@ -527,11 +525,6 @@ fn bench_eps_throughput(h: &mut Harness, sink: &mut PerfSink) {
 }
 
 fn main() {
-    // Conv / step / ε rows are measured with the portable safe kernel
-    // regardless of how the bench was compiled (see the module docs); the
-    // matmul section toggles simd itself for its production-dispatch rows
-    // and leaves it disabled for everything after.
-    set_simd_enabled(false);
     let mut h = Harness::new("compute_backend");
     let mut sink = PerfSink::new();
     sink.push(

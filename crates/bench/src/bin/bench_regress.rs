@@ -165,7 +165,7 @@ fn main() {
              made the optimized path genuinely slower (fix it, or re-record\n\
              BENCH_perf.json with justification in the PR); (2) the scalar reference was\n\
              accidentally optimized, shrinking the ratio (check gemm_reference /\n\
-             set_scalar_reference_mode call sites); (3) a missing row means the bench\n\
+             Kernel::Reference call sites); (3) a missing row means the bench\n\
              stopped emitting it — usually a renamed benchmark or a feature-gated row\n\
              leaking into the committed record. See ARCHITECTURE.md ('Benchmarks and the\n\
              regression gate') for the full contract."

@@ -124,8 +124,7 @@ pub struct PrivacySpent {
 }
 
 /// Builder for [`DpTrainer`]: hyper-parameters, clip mode and compute
-/// backend in one fluent chain (replaces the deprecated two-argument
-/// `DpTrainer::with_clip_mode`).
+/// backend in one fluent chain.
 ///
 /// # Example
 ///
@@ -187,7 +186,8 @@ impl DpTrainerBuilder {
         self
     }
 
-    /// Selects the compute backend (thread count) every step runs under;
+    /// Selects the compute backend (thread count, GEMM kernel) every step
+    /// runs under;
     /// prewarms the shared keep-alive pool to that width at [`Self::build`]
     /// time. When not set, the trainer defaults to [`Backend::auto`]
     /// *without* prewarming — workers spawn lazily at the first parallel
@@ -280,23 +280,8 @@ impl DpTrainer {
         Self::assemble(config, ClipMode::Flat, Backend::auto())
     }
 
-    /// Creates a trainer with an explicit [`ClipMode`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ClipMode::PerLayer` is combined with DP-SGD(R): the
-    /// reweighted algorithm expresses clipping as a single per-example loss
-    /// scale, which cannot encode per-layer factors.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `DpTrainer::builder().config(..).clip_mode(..).build()` instead"
-    )]
-    pub fn with_clip_mode(config: DpSgdConfig, clip_mode: ClipMode) -> Self {
-        Self::assemble(config, clip_mode, Backend::auto())
-    }
-
-    /// The one construction path behind [`Self::new`],
-    /// [`DpTrainerBuilder::build`] and the deprecated `with_clip_mode`.
+    /// The one construction path behind [`Self::new`] and
+    /// [`DpTrainerBuilder::build`].
     fn assemble(config: DpSgdConfig, clip_mode: ClipMode, backend: Backend) -> Self {
         assert!(
             !(clip_mode == ClipMode::PerLayer
@@ -324,12 +309,12 @@ impl DpTrainer {
         }
     }
 
-    /// Selects the compute backend (thread count) every step of this
+    /// Selects the compute backend (thread count, GEMM kernel) every step of this
     /// trainer runs under; `Backend::auto()` is the default. Benches use
     /// this to sweep serial vs. parallel execution of the same step.
     ///
     /// Prewarms the shared keep-alive pool to the new backend's width
-    /// (`diva_tensor::parallel`), so trainer, benches and figure binaries
+    /// (`diva_tensor::parallel`), so trainer, benches and the scenario runner
     /// all draw from the same parked worker set.
     pub fn with_backend(mut self, backend: Backend) -> Self {
         backend.prewarm();
@@ -811,27 +796,6 @@ mod tests {
             .algorithm(TrainingAlgorithm::DpSgdReweighted)
             .clip_mode(ClipMode::PerLayer)
             .build();
-    }
-
-    /// The deprecated two-argument constructor must keep behaving exactly
-    /// like the builder until it is removed.
-    #[test]
-    fn deprecated_with_clip_mode_matches_builder() {
-        let cfg = DpSgdConfig {
-            algorithm: TrainingAlgorithm::DpSgd,
-            clip_norm: 0.7,
-            noise_multiplier: 1.0,
-            learning_rate: 0.2,
-        };
-        #[allow(deprecated)]
-        let legacy = DpTrainer::with_clip_mode(cfg, ClipMode::PerLayer);
-        let built = DpTrainer::builder()
-            .config(cfg)
-            .clip_mode(ClipMode::PerLayer)
-            .build();
-        assert_eq!(legacy.config(), built.config());
-        assert_eq!(legacy.clip_mode(), built.clip_mode());
-        assert_eq!(legacy.backend(), built.backend());
     }
 
     /// The trainer's privacy report routes through the accounting engine:

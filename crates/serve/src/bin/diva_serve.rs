@@ -11,6 +11,7 @@
 //! so scripts can wait for readiness and discover the ephemeral port.
 
 use diva_serve::{Server, ServerConfig};
+use diva_tensor::Backend;
 
 const USAGE: &str = "\
 usage: diva-serve [options]
@@ -29,12 +30,13 @@ endpoints: GET /scenarios, POST /run, POST /epsilon, POST /compare,
            GET /jobs/ID, GET /stats, POST /shutdown
 ";
 
-fn parse_args() -> Result<(ServerConfig, Option<std::path::PathBuf>), String> {
+fn parse_args() -> Result<(ServerConfig, Option<std::path::PathBuf>, Backend), String> {
     let mut config = ServerConfig {
         addr: "127.0.0.1:8737".to_string(),
         ..ServerConfig::default()
     };
     let mut port_file = None;
+    let mut backend = Backend::auto();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut value = |flag: &str| {
@@ -49,7 +51,7 @@ fn parse_args() -> Result<(ServerConfig, Option<std::path::PathBuf>), String> {
                 if n == 0 {
                     return Err("--threads wants at least 1".to_string());
                 }
-                diva_tensor::parallel::set_max_threads(n);
+                backend = Backend::with_threads(n);
             }
             "--cache-mib" => {
                 config.cache_bytes =
@@ -73,7 +75,7 @@ fn parse_args() -> Result<(ServerConfig, Option<std::path::PathBuf>), String> {
             other => return Err(format!("unknown flag {other:?}\n\n{USAGE}")),
         }
     }
-    Ok((config, port_file))
+    Ok((config, port_file, backend))
 }
 
 fn parse_num<T: std::str::FromStr>(raw: &str, flag: &str) -> Result<T, String> {
@@ -82,14 +84,14 @@ fn parse_num<T: std::str::FromStr>(raw: &str, flag: &str) -> Result<T, String> {
 }
 
 fn main() {
-    let (config, port_file) = match parse_args() {
+    let (config, port_file, backend) = match parse_args() {
         Ok(parsed) => parsed,
         Err(message) => {
             eprintln!("diva-serve: {message}");
             std::process::exit(2);
         }
     };
-    let server = match Server::start(config) {
+    let server = match backend.install(|| Server::start(config)) {
         Ok(server) => server,
         Err(e) => {
             eprintln!("diva-serve: bind failed: {e}");

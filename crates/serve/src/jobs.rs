@@ -24,6 +24,8 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex};
 
+use diva_tensor::Backend;
+
 /// How many finished jobs keep their status visible for polling.
 pub const HISTORY_LIMIT: usize = 256;
 
@@ -64,7 +66,8 @@ pub struct JobQueue<E> {
 }
 
 impl<E: Clone + Send + 'static> JobQueue<E> {
-    /// Starts the queue and its worker thread. `shutdown_error` is the
+    /// Starts the queue and its worker thread, which runs jobs under the
+    /// [`Backend`] installed on the calling thread. `shutdown_error` is the
     /// status given to jobs abandoned in the queue at shutdown.
     pub fn start(capacity: usize, shutdown_error: E) -> Self {
         let shared = Arc::new(Shared {
@@ -79,9 +82,10 @@ impl<E: Clone + Send + 'static> JobQueue<E> {
             capacity,
         });
         let worker_shared = Arc::clone(&shared);
+        let backend = Backend::current();
         let worker = std::thread::Builder::new()
             .name("diva-serve-jobs".to_string())
-            .spawn(move || worker_loop(&worker_shared, shutdown_error))
+            .spawn(move || backend.install(|| worker_loop(&worker_shared, shutdown_error)))
             .expect("spawning the job worker");
         Self {
             shared,

@@ -17,6 +17,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use diva_tensor::Backend;
+
 use crate::api::{self, ApiError, RunMode};
 use crate::cache::MemoCache;
 use crate::http;
@@ -89,15 +91,22 @@ pub struct Server {
 impl Server {
     /// Binds `config.addr` and starts serving.
     ///
+    /// The server's accept, connection and job threads all run under the
+    /// [`Backend`] installed on the calling thread (`Backend::auto()`
+    /// unless the caller installed another), so
+    /// `Backend::with_threads(n).install(|| Server::start(cfg))` serves
+    /// every request at width `n`.
+    ///
     /// # Errors
     ///
     /// Propagates the bind failure.
     pub fn start(config: ServerConfig) -> std::io::Result<Self> {
+        let backend = Backend::current();
         // Spin up (and park) the compute pool's workers before accepting
         // traffic, so the first `/run` or `/epsilon` request does not pay
         // thread-spawn latency inside its measured handler. See the
         // `serve_load` bench notes for the measured first-request delta.
-        diva_tensor::Backend::auto().prewarm();
+        backend.prewarm();
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         let state = Arc::new(AppState {
@@ -115,7 +124,7 @@ impl Server {
         let accept_state = Arc::clone(&state);
         let accept = std::thread::Builder::new()
             .name("diva-serve-accept".to_string())
-            .spawn(move || accept_loop(&listener, &accept_state))?;
+            .spawn(move || backend.install(|| accept_loop(&listener, &accept_state)))?;
         Ok(Self {
             state,
             addr,
@@ -150,9 +159,10 @@ fn accept_loop(listener: &TcpListener, state: &Arc<AppState>) {
         }
         let Ok(stream) = stream else { continue };
         let conn_state = Arc::clone(state);
+        let backend = Backend::current();
         let _ = std::thread::Builder::new()
             .name("diva-serve-conn".to_string())
-            .spawn(move || handle_connection(&conn_state, stream));
+            .spawn(move || backend.install(|| handle_connection(&conn_state, stream)));
     }
 }
 

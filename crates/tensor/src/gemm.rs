@@ -19,8 +19,9 @@
 //!   x86-64 host, an explicit-intrinsics 6×16 kernel ([`crate::simd`]) runs
 //!   instead — **bit-identical** by construction (same per-element FMA
 //!   sequence), selected at runtime via `is_x86_feature_detected!` with the
-//!   safe kernel as the universal fallback. [`simd_available`] /
-//!   [`set_simd_enabled`] expose the dispatch for benches and parity tests.
+//!   safe kernel as the universal fallback. The arm is a [`Kernel`], read
+//!   from the installed [`crate::Backend`] (the best available unless one
+//!   is forced), so benches and parity tests pick arms per closure.
 //!
 //! Packing absorbs transposition: both A and B are described by arbitrary
 //! (row, column) strides, so NT/TN/TT flavours cost the same as NN and the
@@ -32,33 +33,65 @@
 //! differently at the 1e-7-relative level. Kernel-parity tests in
 //! `tests/kernel_parity.rs` pin this contract.
 
-use crate::parallel;
+use crate::parallel::{self, Backend};
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 use std::thread::LocalKey;
 
-/// When set, every GEMM routes through the scalar reference kernel — the
-/// seed implementation's exact loop nest. Benchmarks flip this to measure
-/// whole-pipeline speedups against the scalar baseline; it is not intended
-/// for production use.
-static SCALAR_REFERENCE_MODE: AtomicBool = AtomicBool::new(false);
-
-/// Forces (or releases) scalar-reference execution for all subsequent GEMM
-/// calls process-wide. Benchmark/testing hook.
-pub fn set_scalar_reference_mode(enabled: bool) {
-    SCALAR_REFERENCE_MODE.store(enabled, Ordering::Relaxed);
+/// A GEMM micro-kernel arm. [`Backend::with_kernel`] forces one for the
+/// closure the backend is installed around; otherwise every GEMM runs
+/// [`Kernel::best`].
+///
+/// The three blocked arms (`Safe`, `Avx2`, `Avx512`) are bit-identical by
+/// construction (the same per-element FMA sequence), so choosing among
+/// them is a pure throughput decision. `Reference` is the seed's scalar
+/// loop: the baseline of every benchmark's `speedup_vs_scalar`, equal to
+/// the blocked arms only within the FMA / K-panel tolerance.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Kernel {
+    /// Every GEMM, whatever its shape, runs the seed's scalar i-k-j loop
+    /// ([`crate::matmul_reference`]'s kernel).
+    Reference,
+    /// The blocked, packed kernel with the portable safe-Rust micro-kernel.
+    Safe,
+    /// The blocked kernel with the explicit AVX2+FMA micro-kernel (`simd`
+    /// feature, `x86_64`).
+    Avx2,
+    /// The blocked kernel with the explicit AVX-512 micro-kernel (`simd`
+    /// feature, `x86_64`, `avx512f`).
+    Avx512,
 }
 
-/// Whether GEMMs currently route through the scalar reference kernel.
-pub fn scalar_reference_mode() -> bool {
-    SCALAR_REFERENCE_MODE.load(Ordering::Relaxed)
-}
+impl Kernel {
+    /// Every arm, in the order parity sweeps visit them.
+    pub const ALL: [Kernel; 4] = [
+        Kernel::Reference,
+        Kernel::Safe,
+        Kernel::Avx2,
+        Kernel::Avx512,
+    ];
 
-/// When set, the explicit-SIMD micro-kernel is skipped even where
-/// available, forcing the safe kernel. Parity tests sweep this; stored
-/// inverted so the default (`false`) means "simd on when available".
-static SIMD_DISABLED: AtomicBool = AtomicBool::new(false);
+    /// Whether this build and CPU can execute the arm.
+    pub fn is_available(self) -> bool {
+        match self {
+            Kernel::Reference | Kernel::Safe => true,
+            Kernel::Avx2 => simd_available(),
+            Kernel::Avx512 => avx512_available(),
+        }
+    }
+
+    /// The fastest available arm: AVX-512, else AVX2+FMA, else safe — the
+    /// production dispatch.
+    pub fn best() -> Kernel {
+        if avx512_available() {
+            Kernel::Avx512
+        } else if simd_available() {
+            Kernel::Avx2
+        } else {
+            Kernel::Safe
+        }
+    }
+}
 
 /// Whether the explicit AVX2+FMA micro-kernel is compiled in (`simd`
 /// feature, `x86_64` target) *and* supported by the running CPU.
@@ -73,25 +106,11 @@ pub fn simd_available() -> bool {
     }
 }
 
-/// Enables or disables the explicit-SIMD micro-kernel process-wide.
-///
-/// A testing/benchmarking hook: results are bit-identical either way (the
-/// contract `tests/kernel_parity.rs` pins), only throughput changes. A
-/// no-op when [`simd_available`] is `false`.
-pub fn set_simd_enabled(enabled: bool) {
-    SIMD_DISABLED.store(!enabled, Ordering::Relaxed);
-}
-
-/// Whether GEMMs will currently use the explicit-SIMD micro-kernel.
+/// Whether the default [`Backend`] dispatches an explicit-SIMD arm (AVX2 or
+/// AVX-512). A read-only report of [`Kernel::best`].
 pub fn simd_enabled() -> bool {
-    simd_available() && !SIMD_DISABLED.load(Ordering::Relaxed)
+    matches!(Kernel::best(), Kernel::Avx2 | Kernel::Avx512)
 }
-
-/// When set, the AVX-512 arm of the explicit kernel is skipped even where
-/// available, so an AVX-512 host can still measure/test the AVX2 arm.
-/// Stored inverted so the default (`false`) means "avx512 on when
-/// available".
-static AVX512_DISABLED: AtomicBool = AtomicBool::new(false);
 
 /// Whether the AVX-512 micro-kernel arm is compiled in (`simd` feature,
 /// `x86_64` target) *and* supported by the running CPU (`avx512f`).
@@ -106,18 +125,10 @@ pub fn avx512_available() -> bool {
     }
 }
 
-/// Enables or disables the AVX-512 arm of the explicit kernel
-/// process-wide. A testing/benchmarking hook like [`set_simd_enabled`]
-/// (which it is subordinate to: disabling simd disables this arm too);
-/// results are bit-identical either way. A no-op when [`avx512_available`]
-/// is `false`.
-pub fn set_avx512_enabled(enabled: bool) {
-    AVX512_DISABLED.store(!enabled, Ordering::Relaxed);
-}
-
-/// Whether GEMMs will currently use the AVX-512 micro-kernel arm.
+/// Whether the default [`Backend`] dispatches the AVX-512 arm. A read-only
+/// report of [`Kernel::best`].
 pub fn avx512_enabled() -> bool {
-    simd_enabled() && avx512_available() && !AVX512_DISABLED.load(Ordering::Relaxed)
+    Kernel::best() == Kernel::Avx512
 }
 
 /// Micro-tile height (rows of C held in registers). With `NR = 16` the
@@ -140,24 +151,6 @@ const MC: usize = 72;
 /// the scalar reference kernel is faster.
 const BLOCKED_THRESHOLD: usize = 48 * 48 * 48;
 
-/// When cleared, [`gemm_rows`] walks B strips one at a time (the
-/// pre-reorder interior). Bench/bisect hook: results are bit-identical
-/// either way — grouping changes tile *visit order*, never any tile's FMA
-/// chain — only the L2 traffic of the packed-A block changes. Stored
-/// inverted so the default (`false`) means "reorder on".
-static L1_REORDER_DISABLED: AtomicBool = AtomicBool::new(false);
-
-/// Enables or disables the L1-aware B-strip grouping in the GEMM interior
-/// process-wide. Benchmark/testing hook; on by default.
-pub fn set_l1_reorder(enabled: bool) {
-    L1_REORDER_DISABLED.store(!enabled, Ordering::Relaxed);
-}
-
-/// Whether the GEMM interior currently groups B strips for L1 residency.
-pub fn l1_reorder_enabled() -> bool {
-    !L1_REORDER_DISABLED.load(Ordering::Relaxed)
-}
-
 /// Most packed-B strips processed per sweep of the packed-A block, and the
 /// packed-B byte budget a group must fit in (picked against a 48 KiB L1d:
 /// the group's B panels plus one `MR × kb` A panel, the accumulator tiles
@@ -178,12 +171,7 @@ const L1_GROUP_BUDGET: usize = 36 * 1024;
 /// traffic, a win where it does not (the bandwidth-constrained hosts the
 /// blocking parameters are sized for).
 fn group_width(kb: usize, kernel: Kernel) -> usize {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     if kernel == Kernel::Avx512 {
-        return 1;
-    }
-    let _ = kernel;
-    if !l1_reorder_enabled() {
         return 1;
     }
     NB_GROUP
@@ -411,31 +399,12 @@ pub(crate) fn microkernel(kb: usize, a_panel: &[f32], b_panel: &[f32], acc: &mut
     }
 }
 
-/// The micro-kernel a GEMM call resolved to. All arms produce
-/// bit-identical tiles (see [`crate::simd`]), so dispatch is a pure
-/// throughput decision, hoisted out of the tile loops once per
-/// [`gemm_rows`] call.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Kernel {
-    Safe,
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    Avx2,
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    Avx512,
-}
-
-/// The best currently-enabled kernel: AVX-512, else AVX2+FMA, else safe.
+/// The arm GEMMs on this thread dispatch to: the installed backend's
+/// (see [`Backend::kernel`]). Read once per [`gemm_rows`] call, outside the
+/// tile loops; it cannot change results among the blocked arms, only
+/// throughput.
 fn kernel_choice() -> Kernel {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        if avx512_enabled() {
-            return Kernel::Avx512;
-        }
-        if simd_enabled() {
-            return Kernel::Avx2;
-        }
-    }
-    Kernel::Safe
+    Backend::current().kernel()
 }
 
 /// Runs one register tile on the resolved kernel.
@@ -447,12 +416,15 @@ fn run_microkernel(
     b_panel: &[f32],
     acc: &mut [[f32; NR]; MR],
 ) {
+    // `Backend::kernel` only resolves to an arm this build can run, so the
+    // catch-all is the safe kernel (and `Reference`, which never reaches
+    // the blocked path).
     match kernel {
-        Kernel::Safe => microkernel(kb, a_panel, b_panel, acc),
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         Kernel::Avx2 => crate::simd::microkernel_6x16(kb, a_panel, b_panel, acc),
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         Kernel::Avx512 => crate::simd::microkernel_6x16_avx512(kb, a_panel, b_panel, acc),
+        _ => microkernel(kb, a_panel, b_panel, acc),
     }
 }
 
@@ -470,8 +442,6 @@ fn gemm_rows(
 ) {
     debug_assert_eq!(out_rows.len(), rows * n);
     let n_strips = n.div_ceil(NR);
-    // Kernel choice is hoisted out of the tile loops; it cannot change
-    // results (the kernels are bit-identical), only throughput.
     let kernel = kernel_choice();
     // L1-aware interior: walk B strips in groups of `gw` per sweep of the
     // packed-A block. The packed-A block (up to MC × kb ≈ 216 KiB) only
@@ -520,7 +490,8 @@ fn gemm_rows(
 
 /// Returns `true` when a GEMM of this shape routes to the blocked/packed
 /// kernel rather than the scalar reference — the exact decision [`gemm`]
-/// makes internally.
+/// makes internally. A backend forcing [`Kernel::Reference`] routes every
+/// shape to the reference.
 ///
 /// Tiny-K GEMMs (DP-SGD's per-example rank-1 weight gradients, K = 1)
 /// are pure outer-product accumulations: the packing passes cost more
@@ -531,7 +502,7 @@ fn gemm_rows(
 /// same routing and therefore stay bit-identical with the unpacked entry
 /// points for every shape.
 pub(crate) fn blocked_path_eligible(m: usize, k: usize, n: usize) -> bool {
-    !scalar_reference_mode() && k >= 16 && m * k * n >= BLOCKED_THRESHOLD
+    k >= 16 && m * k * n >= BLOCKED_THRESHOLD && kernel_choice() != Kernel::Reference
 }
 
 /// Blocked, packed, M-parallel GEMM: `out += A × B` where `A` is logically
@@ -908,59 +879,6 @@ mod tests {
         assert_eq!(content_token(&a), content_token(&c));
         assert_ne!(content_token(&a), content_token(&b));
         assert_ne!(content_token(&a), content_token(&a[..2]));
-    }
-
-    /// On-host tuning diagnostic (ignored; run with `--ignored --nocapture`):
-    /// times the serial 256³ GEMM with the L1 B-strip grouping on and off.
-    /// Not an assertion — wall-clock on shared CI boxes is too noisy to
-    /// gate on; the acceptance numbers live in `BENCH_perf.json`.
-    #[test]
-    #[ignore = "timing diagnostic, run manually"]
-    fn l1_reorder_timing() {
-        const D: usize = 256;
-        let mut rng = DivaRng::seed_from_u64(3);
-        let a = dense(D, D, &mut rng);
-        let b = dense(D, D, &mut rng);
-        let av = MatRef::row_major(&a, D);
-        let bv = MatRef::row_major(&b, D);
-        let mut out = vec![0.0f32; D * D];
-        let time_once = |reorder: bool, out: &mut [f32]| {
-            set_l1_reorder(reorder);
-            let reps = 20;
-            let t0 = std::time::Instant::now();
-            for _ in 0..reps {
-                out.fill(0.0);
-                crate::parallel::Backend::serial().install(|| gemm(D, D, D, av, bv, out));
-            }
-            let dt = t0.elapsed().as_secs_f64() / f64::from(reps);
-            set_l1_reorder(true);
-            dt
-        };
-        // Interleave off/on samples (ABAB…) and take medians, so slow drift
-        // on a shared host cancels instead of biasing one side.
-        let _ = time_once(false, &mut out);
-        let base = out.clone();
-        let _ = time_once(true, &mut out);
-        assert_eq!(out, base, "reorder changed results");
-        let mut offs = Vec::new();
-        let mut ons = Vec::new();
-        for _ in 0..9 {
-            offs.push(time_once(false, &mut out));
-            ons.push(time_once(true, &mut out));
-        }
-        offs.sort_by(f64::total_cmp);
-        ons.sort_by(f64::total_cmp);
-        let (off, on) = (offs[offs.len() / 2], ons[ons.len() / 2]);
-        println!(
-            "256^3 serial: reorder off {:.3} ms, on {:.3} ms ({:+.1}%)  \
-             off-samples {:?}",
-            off * 1e3,
-            on * 1e3,
-            (on / off - 1.0) * 100.0,
-            offs.iter()
-                .map(|s| (s * 1e4).round() / 10.0)
-                .collect::<Vec<_>>()
-        );
     }
 
     /// On-host cost-split diagnostic (ignored): times the bare micro-kernel

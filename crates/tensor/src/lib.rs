@@ -22,9 +22,20 @@
 //!
 //! # Feature flags
 //!
-//! * `simd` — compiles the explicit AVX2+FMA 6×16 micro-kernel
-//!   ([`simd_available`], [`set_simd_enabled`]). Off by default; results
-//!   are bit-identical with the feature on or off, on any CPU.
+//! * `simd` — compiles the explicit AVX2+FMA and AVX-512 6×16
+//!   micro-kernels ([`simd_available`], [`avx512_available`]). Off by
+//!   default; results are bit-identical with the feature on or off, on any
+//!   CPU.
+//!
+//! # Execution policy
+//!
+//! One [`Backend`] value decides how a computation executes: its thread
+//! count and, optionally, a forced GEMM micro-kernel arm ([`Kernel`]).
+//! [`Backend::install`] scopes it to a closure, and every parallel region
+//! carries it to the workers that run its tasks. The crate holds no
+//! mutable process-global configuration; the only process-wide value is
+//! the default thread count (`DIVA_NUM_THREADS`, else the core count),
+//! read once.
 //!
 //! # Example
 //!
@@ -59,11 +70,7 @@ pub use conv::{
     col2im, conv2d, conv2d_backward_data, conv2d_backward_data_from_rows, conv2d_backward_weight,
     im2col, nchw_to_rows, Conv2dGeom, PatchBuffer,
 };
-pub use gemm::{
-    avx512_available, avx512_enabled, l1_reorder_enabled, scalar_reference_mode,
-    set_avx512_enabled, set_l1_reorder, set_scalar_reference_mode, set_simd_enabled,
-    simd_available, simd_enabled, PackCache,
-};
+pub use gemm::{avx512_available, avx512_enabled, simd_available, simd_enabled, Kernel, PackCache};
 pub use matmul::{
     matmul, matmul_nt, matmul_reference, matmul_tn, matmul_tt, outer_product_accumulate,
 };

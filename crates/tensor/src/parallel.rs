@@ -4,9 +4,9 @@
 //! dimension of every GEMM and the batch dimension of per-example gradient
 //! derivation (paper Algorithm 1 lines 16–25 — each example's gradient,
 //! norm and clip factor is independent). This module provides the one
-//! process-wide thread configuration every parallel kernel in the workspace
-//! consults, so nested parallel regions and the figure binaries cannot
-//! oversubscribe the machine.
+//! execution policy every parallel kernel in the workspace consults, so
+//! nested parallel regions and the scenario runner cannot oversubscribe
+//! the machine.
 //!
 //! Design notes:
 //!
@@ -27,34 +27,29 @@
 //!   scenario grid) queues its tasks on the shared pool, where idle
 //!   workers steal them; the nested caller executes its own queued tasks
 //!   while it waits, so the nested region never deadlocks and never runs
-//!   slower than the old collapse-to-serial behavior. The *data* split of
-//!   a nested region is still decided by its requested width before
-//!   execution — scheduling decides who runs a task, never what a task
-//!   computes. [`set_nested_parallelism`] restores the legacy serial
-//!   collapse (a bench/bisect hook; results are bit-identical either way).
-//! * [`Backend`] is the user-facing knob. Installing one scopes a thread
-//!   count to a closure, which is how `DpTrainer` and the benches sweep
-//!   serial vs. parallel execution without touching global state. The
-//!   override travels *with the region*: a task executing on a stolen
-//!   worker sees the submitting thread's backend, not the worker's.
+//!   slower than a serial collapse would. The *data* split of a nested
+//!   region is still decided by its requested width before execution —
+//!   scheduling decides who runs a task, never what a task computes. A
+//!   caller that wants an inner region serial installs
+//!   [`Backend::serial`] inside the outer task.
+//! * [`Backend`] is the one execution policy: a thread count plus an
+//!   optional forced GEMM [`Kernel`]. Installing one scopes it to a
+//!   closure, which is how `DpTrainer`, `diva-serve` and the benches pick
+//!   serial vs. parallel execution and kernel arms without any global
+//!   state. The policy travels *with the region*: a task executing on a
+//!   stolen worker, or on a waiter helping out, sees the submitting
+//!   thread's backend, not the executing thread's.
 //!
-//! The process-wide default is `DIVA_NUM_THREADS` if set, else the number of
-//! available cores.
+//! The process-wide default thread count is `DIVA_NUM_THREADS` if set,
+//! else the number of available cores, read once.
 
+use crate::gemm::Kernel;
 use crate::pool;
 pub use crate::pool::PoolStats;
 use std::cell::Cell;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::thread::LocalKey;
-
-/// Process-wide default thread count; 0 means "not yet initialized".
-static GLOBAL_THREADS: AtomicUsize = AtomicUsize::new(0);
-
-/// When cleared, nested parallel regions collapse to serial execution on
-/// their calling thread (the pre-work-stealing behavior). Stored inverted
-/// so the default (`false`) means "nested scheduling on".
-static NESTED_DISABLED: AtomicBool = AtomicBool::new(false);
 
 /// Regions nested deeper than this run serially: by then every level of
 /// the machine is saturated and further task-splitting is pure overhead
@@ -68,24 +63,10 @@ thread_local! {
     /// (0 = not inside any region). Tasks carry their submitting region's
     /// depth + 1, whichever thread they execute on.
     static REGION_DEPTH: Cell<usize> = const { Cell::new(0) };
-    /// Per-thread override installed by [`Backend::install`]; 0 = none.
-    /// Region tasks re-install their submitter's override while they run.
-    static THREAD_OVERRIDE: Cell<usize> = const { Cell::new(0) };
-}
-
-/// Enables or disables hierarchical scheduling of nested parallel regions
-/// process-wide. Disabled, a nested region runs serially on its calling
-/// thread — the legacy behavior. Results are bit-identical either way
-/// (pinned by the scenario/explorer byte-identity suites); only
-/// scheduling, and therefore throughput, changes.
-pub fn set_nested_parallelism(enabled: bool) {
-    NESTED_DISABLED.store(!enabled, Ordering::Relaxed);
-}
-
-/// Whether nested parallel regions are currently scheduled hierarchically
-/// (the default) rather than collapsed to serial.
-pub fn nested_parallelism() -> bool {
-    !NESTED_DISABLED.load(Ordering::Relaxed)
+    /// The backend installed by [`Backend::install`]; [`Backend::auto`]
+    /// outside any install. Region tasks re-install their submitter's
+    /// backend while they run.
+    static INSTALLED: Cell<Backend> = const { Cell::new(Backend::auto()) };
 }
 
 /// The nesting depth of the parallel region this thread is currently
@@ -94,58 +75,35 @@ pub fn region_depth() -> usize {
     REGION_DEPTH.with(Cell::get)
 }
 
-fn default_threads() -> usize {
-    std::env::var("DIVA_NUM_THREADS")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
-}
-
-/// The process-wide maximum number of worker threads.
+/// The process-wide default worker-thread count: `DIVA_NUM_THREADS` if it
+/// parses to a positive number, else the number of available cores. Read
+/// once per process; a [`Backend`] with an explicit thread count overrides
+/// it for the closure it is installed around.
 pub fn max_threads() -> usize {
-    let cur = GLOBAL_THREADS.load(Ordering::Relaxed);
-    if cur != 0 {
-        return cur;
-    }
-    let n = default_threads();
-    // Racing initializers compute the same value; either store wins.
-    GLOBAL_THREADS.store(n, Ordering::Relaxed);
-    n
-}
-
-/// Overrides the process-wide maximum worker-thread count.
-///
-/// # Panics
-///
-/// Panics if `n == 0`.
-pub fn set_max_threads(n: usize) {
-    assert!(n > 0, "thread count must be positive");
-    GLOBAL_THREADS.store(n, Ordering::Relaxed);
+    static DEFAULT: OnceLock<usize> = OnceLock::new();
+    *DEFAULT.get_or_init(|| {
+        std::env::var("DIVA_NUM_THREADS")
+            .ok()
+            .and_then(|s| s.trim().parse::<usize>().ok())
+            .filter(|&n| n > 0)
+            .unwrap_or_else(|| {
+                std::thread::available_parallelism()
+                    .map(|n| n.get())
+                    .unwrap_or(1)
+            })
+    })
 }
 
 /// The thread count parallel kernels should use *right now* on this thread:
-/// the installed [`Backend`] override or the global default — even inside
-/// an existing parallel region, because nested regions are scheduled for
-/// real (their tasks run on idle workers, or on the caller while it waits).
-/// Collapses to 1 inside a region only when nested parallelism is disabled
-/// ([`set_nested_parallelism`]) or the region is already
-/// `MAX_REGION_DEPTH` levels deep.
+/// the installed [`Backend`]'s — even inside an existing parallel region,
+/// because nested regions are scheduled for real (their tasks run on idle
+/// workers, or on the caller while it waits). Collapses to 1 only when the
+/// region is already `MAX_REGION_DEPTH` levels deep.
 pub fn effective_threads() -> usize {
-    let depth = REGION_DEPTH.with(Cell::get);
-    if depth > 0 && (!nested_parallelism() || depth >= MAX_REGION_DEPTH) {
+    if REGION_DEPTH.with(Cell::get) >= MAX_REGION_DEPTH {
         return 1;
     }
-    let o = THREAD_OVERRIDE.with(Cell::get);
-    if o > 0 {
-        o
-    } else {
-        max_threads()
-    }
+    Backend::current().threads()
 }
 
 /// Spawns (and parks) the workers an `n`-way region needs — `n - 1`, since
@@ -163,39 +121,46 @@ pub fn pool_stats() -> PoolStats {
     pool::Pool::global().stats()
 }
 
-/// Execution configuration for the compute backend, threaded through
-/// `DpTrainer` and the bench drivers.
+/// The execution policy of the compute backend: how many threads parallel
+/// regions fan out to, and which GEMM micro-kernel arm executes. Threaded
+/// through `DpTrainer`, `diva-serve` and the bench drivers, and scoped to a
+/// closure by [`Backend::install`].
 ///
 /// # Example
 ///
 /// ```
-/// use diva_tensor::Backend;
+/// use diva_tensor::{Backend, Kernel};
 /// let serial = Backend::serial();
 /// assert_eq!(serial.threads(), 1);
 /// let auto = Backend::auto();
 /// assert!(auto.threads() >= 1);
+/// let safe = Backend::with_threads(4).with_kernel(Kernel::Safe);
+/// assert_eq!(safe.install(|| Backend::current()), safe);
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Backend {
-    /// Single-threaded reference execution.
-    Serial,
-    /// Parallel execution on the shared pool; `threads == 0` means "use the
-    /// process-wide default" (see [`max_threads`]).
-    Parallel {
-        /// Worker-thread cap for this backend; 0 = process default.
-        threads: usize,
-    },
+pub struct Backend {
+    /// Worker-thread cap; 0 = the process default ([`max_threads`]).
+    threads: usize,
+    /// Forced micro-kernel arm; `None` = the best arm available.
+    kernel: Option<Kernel>,
 }
 
 impl Backend {
     /// A single-threaded backend.
-    pub fn serial() -> Self {
-        Backend::Serial
+    pub const fn serial() -> Self {
+        Self {
+            threads: 1,
+            kernel: None,
+        }
     }
 
-    /// A parallel backend using the process-wide default thread count.
-    pub fn auto() -> Self {
-        Backend::Parallel { threads: 0 }
+    /// A parallel backend using the process-wide default thread count and
+    /// the best available kernel — the production policy.
+    pub const fn auto() -> Self {
+        Self {
+            threads: 0,
+            kernel: None,
+        }
     }
 
     /// A parallel backend capped at `threads` workers.
@@ -205,32 +170,68 @@ impl Backend {
     /// Panics if `threads == 0` (use [`Backend::auto`] for "default").
     pub fn with_threads(threads: usize) -> Self {
         assert!(threads > 0, "use Backend::auto() for the default count");
-        Backend::Parallel { threads }
+        Self {
+            threads,
+            kernel: None,
+        }
+    }
+
+    /// This backend with every GEMM forced onto `kernel`. An arm this build
+    /// or CPU lacks falls back to [`Kernel::Safe`]; results are
+    /// bit-identical across the blocked arms either way (see [`Kernel`]).
+    pub fn with_kernel(self, kernel: Kernel) -> Self {
+        Self {
+            kernel: Some(kernel),
+            ..self
+        }
+    }
+
+    /// The backend installed on this thread — the one a parallel region
+    /// opened here would run under. [`Backend::auto`] outside any
+    /// [`Backend::install`]; inside a region task, the submitter's.
+    pub fn current() -> Self {
+        INSTALLED.with(Cell::get)
     }
 
     /// The concrete thread count this backend resolves to.
     pub fn threads(&self) -> usize {
-        match self {
-            Backend::Serial => 1,
-            Backend::Parallel { threads: 0 } => max_threads(),
-            Backend::Parallel { threads } => *threads,
+        if self.threads == 0 {
+            max_threads()
+        } else {
+            self.threads
+        }
+    }
+
+    /// The micro-kernel arm GEMMs under this backend execute: the forced
+    /// arm if this build and CPU have it, [`Kernel::Safe`] if they do not,
+    /// and [`Kernel::best`] when none is forced.
+    pub fn kernel(&self) -> Kernel {
+        match self.kernel {
+            None => Kernel::best(),
+            Some(k) if k.is_available() => k,
+            Some(_) => Kernel::Safe,
         }
     }
 
     /// A short label for tables and benchmark records.
     pub fn label(&self) -> String {
-        match self {
-            Backend::Serial => "serial".to_string(),
-            b => format!("parallel({})", b.threads()),
+        let threads = if self.threads == 1 {
+            "serial".to_string()
+        } else {
+            format!("parallel({})", self.threads())
+        };
+        match self.kernel {
+            None => threads,
+            Some(k) => format!("{threads}/{k:?}"),
         }
     }
 
-    /// Runs `f` with this backend's thread count installed on the current
-    /// thread. The previous value is restored on every exit path — normal
-    /// return or unwinding panic — so a caller that catches a panic never
-    /// observes a stale override.
+    /// Runs `f` with this backend installed on the current thread. The
+    /// previous backend is restored on every exit path — normal return or
+    /// unwinding panic — so a caller that catches a panic never observes a
+    /// stale policy.
     pub fn install<R>(&self, f: impl FnOnce() -> R) -> R {
-        let _restore = SetCell::new(&THREAD_OVERRIDE, self.threads());
+        let _restore = SetCell::new(&INSTALLED, *self);
         f()
     }
 
@@ -245,7 +246,7 @@ impl Backend {
 
 /// Sets a thread-local `Cell` and restores the previous value on drop, so
 /// panics unwinding through a parallel region cannot leave the thread's
-/// scheduling state (`REGION_DEPTH`, `THREAD_OVERRIDE`) permanently stuck.
+/// scheduling state (`REGION_DEPTH`, `INSTALLED`) permanently stuck.
 struct SetCell<T: Copy + 'static> {
     key: &'static LocalKey<Cell<T>>,
     prev: T,
@@ -330,32 +331,32 @@ where
 }
 
 /// The scheduling context a region's tasks carry with them: the
-/// submitter's backend override and the region's nesting depth. Installing
-/// it on the executing thread (worker, stealer, or helping waiter) makes
-/// nested `effective_threads()` calls resolve exactly as they would have
-/// on the submitting thread — context flows lexically with the region
-/// tree, never with the OS thread, which is what keeps data splits
-/// deterministic under work-stealing.
+/// submitter's installed backend and the region's nesting depth.
+/// Installing it on the executing thread (worker, stealer, or helping
+/// waiter) makes nested `effective_threads()` calls and GEMM kernel
+/// dispatch resolve exactly as they would have on the submitting thread —
+/// context flows lexically with the region tree, never with the OS thread,
+/// which is what keeps data splits deterministic under work-stealing.
 #[derive(Clone, Copy)]
 struct RegionCtx {
-    thread_override: usize,
+    backend: Backend,
     depth: usize,
 }
 
 impl RegionCtx {
     /// The context tasks of a region submitted from this thread must run
-    /// under: same override, one level deeper.
+    /// under: same backend, one level deeper.
     fn capture() -> Self {
         Self {
-            thread_override: THREAD_OVERRIDE.with(Cell::get),
+            backend: Backend::current(),
             depth: REGION_DEPTH.with(Cell::get) + 1,
         }
     }
 
     /// Installs the context for the duration of a task body.
-    fn install(self) -> (SetCell<usize>, SetCell<usize>) {
+    fn install(self) -> (SetCell<Backend>, SetCell<usize>) {
         (
-            SetCell::new(&THREAD_OVERRIDE, self.thread_override),
+            SetCell::new(&INSTALLED, self.backend),
             SetCell::new(&REGION_DEPTH, self.depth),
         )
     }
@@ -496,20 +497,75 @@ mod tests {
         assert_eq!(region_depth(), 0, "depth must be restored after regions");
     }
 
+    /// A forced kernel is part of the region context: every depth-2 task
+    /// observes it, including tasks that ran on pool workers rather than on
+    /// the installing thread. The outer tasks rendezvous before opening
+    /// their inner regions, so the queued outer task is guaranteed to run
+    /// on a worker (the installing thread is busy with the inline one).
     #[test]
-    fn nested_parallelism_toggle_collapses_inner_regions() {
-        set_nested_parallelism(false);
-        let counts = par_map(2, |_| par_map(2, |_| effective_threads()));
-        set_nested_parallelism(true);
-        // With the legacy collapse restored, any task that ran inside a
-        // real (fanned-out) region must have seen width 1; tasks of a
-        // serially-degraded outer region run at depth 0 and may see more.
-        for inner in counts {
-            for c in inner {
-                assert!(c <= max_threads());
+    fn forced_kernel_reaches_depth_two_tasks_on_stolen_workers() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::time::{Duration, Instant};
+        let forced = Backend::with_threads(2).with_kernel(Kernel::Reference);
+        let caller = std::thread::current().id();
+        let started = AtomicUsize::new(0);
+        prewarm(2);
+        let seen = forced.install(|| {
+            par_map(2, |_| {
+                started.fetch_add(1, Ordering::SeqCst);
+                let deadline = Instant::now() + Duration::from_secs(30);
+                while started.load(Ordering::SeqCst) < 2 && Instant::now() < deadline {
+                    std::thread::yield_now();
+                }
+                par_map(4, |_| {
+                    (
+                        region_depth(),
+                        Backend::current(),
+                        std::thread::current().id(),
+                    )
+                })
+            })
+        });
+        let inner: Vec<_> = seen.into_iter().flatten().collect();
+        assert_eq!(inner.len(), 8);
+        for (depth, backend, _) in &inner {
+            assert_eq!(*depth, 2, "inner task at wrong depth");
+            assert_eq!(*backend, forced, "inner task lost the forced kernel");
+            assert_eq!(backend.kernel(), Kernel::Reference);
+        }
+        assert!(
+            inner.iter().any(|(_, _, id)| *id != caller),
+            "no depth-2 task ran on a pool worker"
+        );
+        assert_eq!(Backend::current(), Backend::auto(), "backend restored");
+    }
+
+    /// The serial collapse of a nested region is a plain install: an inner
+    /// `Backend::serial()` inside the outer task.
+    #[test]
+    fn serial_install_collapses_an_inner_region() {
+        let widths = Backend::with_threads(2).install(|| {
+            par_map(2, |_| {
+                Backend::serial().install(|| par_map(2, |_| effective_threads()))
+            })
+        });
+        assert_eq!(widths, vec![vec![1, 1], vec![1, 1]]);
+    }
+
+    /// A forced arm the host lacks falls back to the safe kernel; `None`
+    /// resolves to the best arm available.
+    #[test]
+    fn unavailable_forced_kernel_falls_back_to_safe() {
+        for k in Kernel::ALL {
+            let resolved = Backend::serial().with_kernel(k).kernel();
+            if k.is_available() {
+                assert_eq!(resolved, k);
+            } else {
+                assert_eq!(resolved, Kernel::Safe);
             }
         }
-        assert!(nested_parallelism(), "toggle must be restored");
+        assert_eq!(Backend::auto().kernel(), Kernel::best());
+        assert!(Kernel::best().is_available());
     }
 
     #[test]
@@ -528,11 +584,7 @@ mod tests {
         let two = Backend::with_threads(2);
         assert_eq!(two.install(effective_threads), 2);
         // Restored afterwards.
-        assert_eq!(
-            THREAD_OVERRIDE.with(Cell::get),
-            0,
-            "override must be restored"
-        );
+        assert_eq!(Backend::current(), Backend::auto(), "backend restored");
     }
 
     #[test]
@@ -541,9 +593,9 @@ mod tests {
             std::panic::catch_unwind(|| Backend::with_threads(3).install(|| panic!("boom")));
         assert!(result.is_err());
         assert_eq!(
-            THREAD_OVERRIDE.with(Cell::get),
-            0,
-            "override must be restored after an unwinding panic"
+            Backend::current(),
+            Backend::auto(),
+            "backend must be restored after an unwinding panic"
         );
         let result = std::panic::catch_unwind(|| {
             par_map(2, |i| if i == 1 { panic!("worker boom") } else { i })

@@ -10,7 +10,7 @@
 //! submitted. The pool grows monotonically to the largest region width ever
 //! requested and is shared by every parallel kernel in the workspace: the
 //! GEMM M-split, the per-example backward fan-out, the clip-reduce, the
-//! scenario runner's cell grid, and the figure binaries' `run_parallel`.
+//! scenario runner's cell grid, and `diva_bench::run_parallel`.
 //!
 //! # Hierarchical scheduling
 //!

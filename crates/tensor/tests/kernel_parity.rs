@@ -235,25 +235,19 @@ fn parallel_split_is_bitwise_invisible() {
     }
 }
 
-/// The full dispatch matrix — explicit-SIMD kernel on/off × threads
-/// 1/4/8 × odd blocked-path shapes — must produce bit-identical outputs:
-/// every cell performs the same per-element FMA sequence, so neither the
-/// kernel choice nor the M-split may show up in a single bit.
+/// The full dispatch matrix — every available [`Kernel`] × threads 1/4/8 ×
+/// odd blocked-path shapes — must produce bit-identical outputs: every
+/// blocked arm (safe, AVX2, AVX-512) performs the same per-element FMA
+/// sequence, so neither the arm nor the M-split may show up in a single
+/// bit. The reference arm is the seed's scalar loop; it must equal
+/// `matmul_reference` bit for bit at every thread count.
 ///
-/// Without the `simd` feature (or on CPUs without AVX2+FMA),
-/// `set_simd_enabled` is a no-op and the matrix degenerates to the
-/// thread sweep; with it, this is the contract that makes the feature safe
-/// to enable in production. The AVX-512 axis works the same way:
-/// `set_avx512_enabled(false)` forces the AVX2 arm on AVX-512 hosts, so
-/// capable hosts sweep safe × AVX2 × AVX-512; others silently cover what
-/// they have. The L1-reorder axis sweeps the interior B-strip grouping
-/// on/off — loop order, like the kernel choice, must never show in a bit.
+/// Arms this build or CPU lacks are skipped (without the `simd` feature
+/// the blocked column is the safe kernel alone); with them, this is the
+/// contract that makes the feature safe to enable in production.
 #[test]
 fn simd_thread_matrix_is_bit_identical() {
-    use diva_tensor::{
-        avx512_available, set_avx512_enabled, set_l1_reorder, set_simd_enabled, simd_available,
-        Backend,
-    };
+    use diva_tensor::{Backend, Kernel};
     // Odd shapes that all route through the blocked/packed path (k >= 16,
     // m*k*n over the threshold), straddling panel and strip boundaries.
     let shapes = [(65usize, 129usize, 33usize), (97, 803, 51), (129, 1031, 17)];
@@ -261,36 +255,26 @@ fn simd_thread_matrix_is_bit_identical() {
     for &(m, k, n) in &shapes {
         let a = Tensor::uniform(&[m, k], -1.0, 1.0, &mut rng);
         let b = Tensor::uniform(&[k, n], -1.0, 1.0, &mut rng);
-        // Baseline cell: safe kernel, one thread, default loop order.
-        set_simd_enabled(false);
-        let baseline = Backend::serial().install(|| matmul(&a, &b));
-        for simd in [false, true] {
-            if simd && !simd_available() {
-                continue;
-            }
-            set_simd_enabled(simd);
-            for avx512 in [false, true] {
-                if avx512 && !(simd && avx512_available()) {
-                    continue;
-                }
-                set_avx512_enabled(avx512);
-                for reorder in [false, true] {
-                    set_l1_reorder(reorder);
-                    for threads in [1usize, 4, 8] {
-                        let out = Backend::with_threads(threads).install(|| matmul(&a, &b));
-                        assert_eq!(
-                            out.max_abs_diff(&baseline),
-                            0.0,
-                            "({m},{k},{n}) simd={simd} avx512={avx512} reorder={reorder} \
-                             threads={threads} diverged from baseline"
-                        );
-                    }
-                }
+        let blocked = Backend::serial()
+            .with_kernel(Kernel::Safe)
+            .install(|| matmul(&a, &b));
+        let reference = matmul_reference(&a, &b);
+        for kernel in Kernel::ALL.into_iter().filter(|k| k.is_available()) {
+            let expected = if kernel == Kernel::Reference {
+                &reference
+            } else {
+                &blocked
+            };
+            for threads in [1usize, 4, 8] {
+                let backend = Backend::with_threads(threads).with_kernel(kernel);
+                assert_eq!(backend.kernel(), kernel, "available arm not dispatched");
+                let out = backend.install(|| matmul(&a, &b));
+                assert_eq!(
+                    out.max_abs_diff(expected),
+                    0.0,
+                    "({m},{k},{n}) kernel={kernel:?} threads={threads} diverged from baseline"
+                );
             }
         }
-        // Restore the default dispatch.
-        set_simd_enabled(true);
-        set_avx512_enabled(true);
-        set_l1_reorder(true);
     }
 }

@@ -76,10 +76,6 @@ fn back_to_back_regions_reuse_workers() {
 #[test]
 fn nested_regions_execute_across_width_matrix() {
     let _guard = pool_guard();
-    assert!(
-        parallel::nested_parallelism(),
-        "hierarchical nested scheduling is the default"
-    );
     let expected: Vec<Vec<usize>> = (0..4)
         .map(|i| (0..6).map(|j| i * 100 + j * 7).collect())
         .collect();
@@ -210,6 +206,9 @@ fn try_par_map_isolates_per_item_panics() {
 /// scheduling-determined.
 #[test]
 fn try_par_map_failures_are_thread_count_stable() {
+    // Takes the lock too: its 8-wide region grows the pool, which would
+    // race the spawn-count reads of the tests above.
+    let _guard = pool_guard();
     let run = |threads: usize| {
         Backend::with_threads(threads).install(|| {
             parallel::try_par_map(13, |i| {

@@ -221,7 +221,7 @@ fn sgd_side_benefits() {
 }
 
 /// The fig13 scenario run through the registry must reproduce the same
-/// headline numbers as the legacy shim path computed by hand: identical
+/// headline numbers as a direct computation by hand: identical
 /// per-model speedups (same simulator calls) and a bit-identical geomean
 /// (both sides reduce with `diva_core::geomean` over the same model
 /// order).

@@ -102,16 +102,15 @@ fn responses_are_stable_across_thread_counts() {
         .batches(&[56]);
     let expected = json::to_json(&scenario::run_with("fig13", &opts).unwrap());
 
-    let default_width = diva_tensor::parallel::max_threads();
-    diva_tensor::parallel::set_max_threads(1);
-    let server = Server::start(ServerConfig::default()).unwrap();
+    let server = diva_tensor::Backend::serial()
+        .install(|| Server::start(ServerConfig::default()))
+        .unwrap();
     let response = client::post_json(
         server.addr(),
         "/run",
         br#"{"scenario": "fig13", "models": "squeezenet", "points": "ws,diva", "batch": "56"}"#,
     )
     .unwrap();
-    diva_tensor::parallel::set_max_threads(default_width);
     assert_eq!(response.status, 200, "{}", response.text());
     assert_eq!(
         response.body,
