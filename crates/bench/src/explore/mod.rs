@@ -26,8 +26,8 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use diva_arch::params;
+use diva_tensor::parallel::par_map;
 
-use crate::run_parallel;
 use crate::scenario::journal::{fingerprint_hex, Journal, JournalOutcome, JournalSpec};
 use crate::scenario::{Cell, ScenarioError};
 
@@ -367,8 +367,8 @@ pub fn explore(cfg: &ExploreConfig) -> Result<ExploreResult, ScenarioError> {
 
         // Parallel evaluation over the shared worker pool; the memo cache
         // single-flights duplicate config keys across racing workers.
-        let results: Vec<Arc<Vec<(String, f64)>>> = run_parallel(fresh.clone(), |item| {
-            let (_, config_key, config) = item;
+        let results: Vec<Arc<Vec<(String, f64)>>> = par_map(fresh.len(), |i| {
+            let (_, config_key, config) = &fresh[i];
             if cfg.memo {
                 cache
                     .get_or_compute(config_key, || evaluate_config(config, &cfg.workloads))

@@ -45,11 +45,12 @@ impl Harness {
     /// Creates a harness titled `suite`, reading the time budget from
     /// `DIVA_BENCH_SECS` (default one second per benchmark).
     pub fn new(suite: &str) -> Self {
-        let secs = std::env::var("DIVA_BENCH_SECS")
-            .ok()
-            .and_then(|s| s.trim().parse::<f64>().ok())
-            .filter(|&s| s > 0.0)
-            .unwrap_or(1.0);
+        let var = std::env::var("DIVA_BENCH_SECS").ok();
+        Self::with_budget(suite, budget_secs(var.as_deref()))
+    }
+
+    /// A harness with an explicit per-benchmark budget of `secs` seconds.
+    fn with_budget(suite: &str, secs: f64) -> Self {
         println!("== bench suite: {suite} (budget {secs:.2}s/benchmark) ==");
         Self {
             suite: suite.to_string(),
@@ -110,6 +111,14 @@ impl Harness {
     }
 }
 
+/// The per-benchmark budget in seconds for a `DIVA_BENCH_SECS` value:
+/// a positive finite number, else the one-second default.
+fn budget_secs(var: Option<&str>) -> f64 {
+    var.and_then(|s| s.trim().parse::<f64>().ok())
+        .filter(|s| s.is_finite() && *s > 0.0)
+        .unwrap_or(1.0)
+}
+
 /// Formats a duration in engineering units.
 pub fn fmt_time(secs: f64) -> String {
     if secs >= 1.0 {
@@ -129,13 +138,28 @@ mod tests {
 
     #[test]
     fn harness_measures_and_records() {
-        std::env::set_var("DIVA_BENCH_SECS", "0.02");
-        let mut h = Harness::new("selftest");
+        let mut h = Harness::with_budget("selftest", 0.02);
         h.bench("noop", || 1 + 1);
         let m = h.get("noop").expect("measurement recorded");
         assert!(m.secs_per_iter > 0.0);
         assert!(m.iters >= 1);
-        std::env::remove_var("DIVA_BENCH_SECS");
+    }
+
+    #[test]
+    fn budget_parsing_falls_back_to_one_second() {
+        assert_eq!(budget_secs(Some("0.05")), 0.05);
+        assert_eq!(budget_secs(Some(" 2 ")), 2.0);
+        for bad in [
+            None,
+            Some(""),
+            Some("fast"),
+            Some("0"),
+            Some("-1"),
+            Some("inf"),
+            Some("NaN"),
+        ] {
+            assert_eq!(budget_secs(bad), 1.0, "{bad:?}");
+        }
     }
 
     #[test]

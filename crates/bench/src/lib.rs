@@ -84,32 +84,6 @@ pub fn fmt_bytes(bytes: u64) -> String {
     format!("{v:.1} {}", UNITS[unit])
 }
 
-/// Runs `f` over every item and returns results in input order.
-///
-/// Work is fanned out over the workspace-wide **keep-alive** pool
-/// (`diva_tensor::parallel`), *not* ad-hoc threads: the scenario runner runs
-/// alongside the parallel compute backend, and a second thread source would
-/// oversubscribe the cores the GEMM workers already occupy. The pool is
-/// prewarmed to the width this call will actually resolve to (the
-/// installed `Backend` override or the process default, capped by the item
-/// count — never more), so a scenario's first sweep doesn't pay
-/// thread-spawn latency; the same parked workers then serve every later
-/// region. Nested calls (per-model simulations here, GEMM M-splits and
-/// per-example backward fan-outs inside them) are scheduled
-/// hierarchically on the same pool — inner tasks run on idle workers or
-/// inline on the waiting submitter, never on threads² ad-hoc threads —
-/// and task-to-data assignment stays fixed pre-execution, so results are
-/// byte-identical whatever gets stolen where.
-pub fn run_parallel<T, I, F>(items: Vec<I>, f: F) -> Vec<T>
-where
-    T: Send,
-    I: Sync,
-    F: Fn(&I) -> T + Sync,
-{
-    diva_tensor::parallel::prewarm(diva_tensor::parallel::effective_threads().min(items.len()));
-    diva_tensor::parallel::par_map(items.len(), |i| f(&items[i]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,13 +98,6 @@ mod tests {
             // LSTM-small (0.4 M params) legitimately fits batch 8192.
             assert!(b <= 16384, "{} allows suspicious batch {b}", m.name);
         }
-    }
-
-    #[test]
-    fn parallel_runner_preserves_order() {
-        let items: Vec<u64> = (0..16).collect();
-        let out = run_parallel(items.clone(), |&x| x * x);
-        assert_eq!(out, items.iter().map(|x| x * x).collect::<Vec<_>>());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! checkpoint/resume, derived metrics, and declared reductions.
 //!
 //! Determinism: the grid is enumerated row-major in axis-declaration
-//! order, evaluated with [`crate::run_parallel`] (which fixes the
+//! order, evaluated with `diva_tensor::parallel::par_map` (which fixes the
 //! task-to-slot assignment before execution starts), and every cell's
 //! evaluation is a pure function of its coordinates — so results are
 //! bit-identical for every worker-thread count. `scenario_determinism` in
@@ -35,6 +35,7 @@ use super::{
 use crate::faults::FaultPlan;
 use diva_arch::ConfigError;
 use diva_core::{geomean, Accelerator};
+use diva_tensor::parallel::par_map;
 
 /// Options steering one experiment run (the CLI's axis filters,
 /// design-space knobs, and fault-tolerance policy).
@@ -654,8 +655,8 @@ pub fn run_experiment(
         .collect();
 
     // Evaluate the missing cells (visible and hidden baseline cells) on
-    // the shared pool, each under the supervisor; `run_parallel`
-    // preserves input order, and each completed cell is journaled (and
+    // the shared pool, each under the supervisor; `par_map` preserves
+    // input order, and each completed cell is journaled (and
     // flushed) the moment it settles so a killed run loses at most the
     // in-flight cells.
     let sup_cfg = SupervisorCfg {
@@ -664,23 +665,23 @@ pub fn run_experiment(
         faults: opts.faults.clone(),
     };
     let eval = &exp.eval;
-    let fresh: Vec<(usize, CellOutcome)> =
-        crate::run_parallel(todo, |(i, ctx): &(usize, CellCtx)| {
-            let key = &keys[*i];
-            let outcome = supervise(&sup_cfg, key, || eval(ctx));
-            if let Some(journal) = &journal {
-                match &outcome {
-                    CellOutcome::Ok(cell) => journal.append_ok(key, cell),
-                    CellOutcome::Failed {
-                        kind,
-                        error,
-                        attempts,
-                        ..
-                    } => journal.append_failure(key, *kind, error, *attempts),
-                }
+    let fresh: Vec<(usize, CellOutcome)> = par_map(todo.len(), |t| {
+        let (i, ctx) = &todo[t];
+        let key = &keys[*i];
+        let outcome = supervise(&sup_cfg, key, || eval(ctx));
+        if let Some(journal) = &journal {
+            match &outcome {
+                CellOutcome::Ok(cell) => journal.append_ok(key, cell),
+                CellOutcome::Failed {
+                    kind,
+                    error,
+                    attempts,
+                    ..
+                } => journal.append_failure(key, *kind, error, *attempts),
             }
-            (*i, outcome.clone())
-        });
+        }
+        (*i, outcome.clone())
+    });
     if let Some(err) = journal.as_ref().and_then(Journal::take_error) {
         return Err(err);
     }

@@ -51,7 +51,9 @@ pub fn clip_factors(sq_norms: &[f64], clip_norm: f64) -> ClipSummary {
     }
 }
 
-fn median(values: &[f64]) -> f64 {
+/// The median of `values` (0 when empty; the mean of the middle pair for
+/// an even count).
+pub(crate) fn median(values: &[f64]) -> f64 {
     if values.is_empty() {
         return 0.0;
     }

@@ -28,11 +28,11 @@
 //! and the supporting cast: the Gaussian mechanism and synthetic dataset
 //! generators used by tests and examples.
 //!
-//! Execution: a [`DpTrainer`] owns a `diva_tensor::Backend` (thread-count
-//! configuration) and installs it around every step, so all GEMMs and
+//! Execution: a [`DpTrainer`] owns a `diva_tensor::Backend` (thread count,
+//! GEMM kernel) and installs it around every step, so all GEMMs and
 //! per-example fan-outs of a step run on the workspace-wide keep-alive
 //! pool at the trainer's width; selecting a backend with
-//! [`DpTrainer::with_backend`] prewarms that pool to the chosen width.
+//! [`DpTrainerBuilder::backend`] prewarms that pool to the chosen width.
 //! See `ARCHITECTURE.md` at the workspace root.
 //!
 //! # Example
@@ -58,7 +58,6 @@
 #[doc = include_str!("../../../README.md")]
 pub struct ReadmeDoctests;
 
-mod accountant;
 mod batch;
 mod calibrate;
 mod clip;
@@ -71,11 +70,9 @@ mod query;
 mod sampling;
 mod synthetic;
 
-pub use accountant::RdpAccountant;
 pub use batch::batch_epsilons;
 pub use calibrate::{
-    calibrate_noise, calibrate_sigma, classic_gaussian_sigma, gaussian_delta, gaussian_epsilon,
-    gaussian_sigma,
+    calibrate_noise, classic_gaussian_sigma, gaussian_delta, gaussian_epsilon, gaussian_sigma,
 };
 pub use clip::{clip_factors, ClipSummary};
 pub use error::AccountError;

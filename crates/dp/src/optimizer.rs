@@ -7,7 +7,7 @@
 use diva_nn::{GradMode, Network, NetworkGrads};
 use diva_tensor::{softmax_cross_entropy, Backend, DivaRng, Tensor};
 
-use crate::clip::{clip_factors, ClipSummary};
+use crate::clip::{clip_factors, median, ClipSummary};
 use crate::error::AccountError;
 use crate::event::{event_epsilon, AccountantKind, DpEvent};
 use crate::mechanism::GaussianMechanism;
@@ -187,12 +187,11 @@ impl DpTrainerBuilder {
     }
 
     /// Selects the compute backend (thread count, GEMM kernel) every step
-    /// runs under;
-    /// prewarms the shared keep-alive pool to that width at [`Self::build`]
-    /// time. When not set, the trainer defaults to [`Backend::auto`]
-    /// *without* prewarming — workers spawn lazily at the first parallel
-    /// region, so a trainer that is immediately narrowed (the bench
-    /// sweep's serial arm) never parks a core-count of idle workers.
+    /// runs under, and prewarms the shared keep-alive pool to that width at
+    /// [`Self::build`] time. When not set, the trainer runs on
+    /// [`Backend::auto`] *without* prewarming: workers spawn lazily at the
+    /// first parallel region, so a trainer that never reaches one never
+    /// parks a core-count of idle workers.
     pub fn backend(mut self, backend: Backend) -> Self {
         self.backend = Some(backend);
         self
@@ -208,14 +207,32 @@ impl DpTrainerBuilder {
     /// configuration is private and `clip_norm` / `noise_multiplier` are
     /// invalid.
     pub fn build(self) -> DpTrainer {
-        if let Some(backend) = self.backend {
+        let Self {
+            config,
+            clip_mode,
+            backend,
+        } = self;
+        assert!(
+            !(clip_mode == ClipMode::PerLayer
+                && config.algorithm == TrainingAlgorithm::DpSgdReweighted),
+            "per-layer clipping requires materialized per-example gradients (vanilla DP-SGD)"
+        );
+        let mechanism = if config.is_private() {
+            GaussianMechanism::new(config.noise_multiplier, config.clip_norm)
+        } else {
+            // Unused for SGD; any valid mechanism will do.
+            GaussianMechanism::new(0.0, 1.0)
+        };
+        // Only an explicitly chosen backend prewarms (see `Self::backend`).
+        if let Some(backend) = backend {
             backend.prewarm();
         }
-        DpTrainer::assemble(
-            self.config,
-            self.clip_mode,
-            self.backend.unwrap_or_default(),
-        )
+        DpTrainer {
+            config,
+            clip_mode,
+            mechanism,
+            backend: backend.unwrap_or_default(),
+        }
     }
 }
 
@@ -270,56 +287,15 @@ impl DpTrainer {
         }
     }
 
-    /// Creates a trainer with flat (whole-gradient) clipping.
+    /// Creates a trainer with flat (whole-gradient) clipping on the auto
+    /// backend: `Self::builder().config(config).build()`.
     ///
     /// # Panics
     ///
     /// Panics if the configuration is private and `clip_norm` or
     /// `noise_multiplier` are invalid.
     pub fn new(config: DpSgdConfig) -> Self {
-        Self::assemble(config, ClipMode::Flat, Backend::auto())
-    }
-
-    /// The one construction path behind [`Self::new`] and
-    /// [`DpTrainerBuilder::build`].
-    fn assemble(config: DpSgdConfig, clip_mode: ClipMode, backend: Backend) -> Self {
-        assert!(
-            !(clip_mode == ClipMode::PerLayer
-                && config.algorithm == TrainingAlgorithm::DpSgdReweighted),
-            "per-layer clipping requires materialized per-example gradients (vanilla DP-SGD)"
-        );
-        let mechanism = if config.is_private() {
-            GaussianMechanism::new(config.noise_multiplier, config.clip_norm)
-        } else {
-            // Unused for SGD; any valid mechanism will do.
-            GaussianMechanism::new(0.0, 1.0)
-        };
-        // No prewarm here: the default backend is full-width auto, and a
-        // caller may immediately narrow it (`.with_backend(Backend::serial())`
-        // — the bench sweep's serial arm), which must not leave a core-count
-        // of permanently parked workers behind. `with_backend` and
-        // `DpTrainerBuilder::backend` prewarm the width actually chosen; a
-        // trainer left on auto spawns workers lazily at its first parallel
-        // region.
-        Self {
-            config,
-            clip_mode,
-            mechanism,
-            backend,
-        }
-    }
-
-    /// Selects the compute backend (thread count, GEMM kernel) every step of this
-    /// trainer runs under; `Backend::auto()` is the default. Benches use
-    /// this to sweep serial vs. parallel execution of the same step.
-    ///
-    /// Prewarms the shared keep-alive pool to the new backend's width
-    /// (`diva_tensor::parallel`), so trainer, benches and the scenario runner
-    /// all draw from the same parked worker set.
-    pub fn with_backend(mut self, backend: Backend) -> Self {
-        backend.prewarm();
-        self.backend = backend;
-        self
+        Self::builder().config(config).build()
     }
 
     /// The trainer's configuration.
@@ -381,20 +357,11 @@ impl DpTrainer {
         labels: &[usize],
         rng: &mut DivaRng,
     ) -> StepReport {
-        let b = x.shape().dim(0);
-        let (mut grads, loss, clip) = self.backend.install(|| self.clipped_sum(net, x, labels));
-        if self.config.is_private() {
-            self.mechanism.add_noise_to_grads(&mut grads, rng);
-        }
-        // Average over the mini-batch: Algorithm 1 line 24 / 41 multiplies
-        // the (noised) sum by 1/B; for SGD this is the usual mean gradient.
-        scale_grads(&mut grads, 1.0 / b as f32);
-        let update_norm = grad_norm(&grads);
-        net.apply_update(&grads, self.config.learning_rate);
+        let (grads, loss, clip) = self.backend.install(|| self.clipped_sum(net, x, labels));
         StepReport {
             mean_loss: loss,
             clip,
-            update_norm,
+            update_norm: self.noise_average_apply(net, grads, x.shape().dim(0), rng),
         }
     }
 
@@ -433,18 +400,33 @@ impl DpTrainer {
             }
             clip_acc = merge_clip(clip_acc, clip);
         }
-        let mut grads = acc.expect("at least one microbatch");
-        if self.config.is_private() {
-            self.mechanism.add_noise_to_grads(&mut grads, rng);
-        }
-        scale_grads(&mut grads, 1.0 / total_examples as f32);
-        let update_norm = grad_norm(&grads);
-        net.apply_update(&grads, self.config.learning_rate);
+        let grads = acc.expect("at least one microbatch");
         StepReport {
             mean_loss: loss_weighted / total_examples as f64,
             clip: clip_acc,
-            update_norm,
+            update_norm: self.noise_average_apply(net, grads, total_examples, rng),
         }
+    }
+
+    /// The tail of every step: noises the clipped gradient sum (private
+    /// algorithms only), averages it over the `n` examples it sums, applies
+    /// the update, and returns the update direction's L2 norm.
+    fn noise_average_apply(
+        &self,
+        net: &mut Network,
+        mut grads: NetworkGrads,
+        n: usize,
+        rng: &mut DivaRng,
+    ) -> f64 {
+        if self.config.is_private() {
+            self.mechanism.add_noise_to_grads(&mut grads, rng);
+        }
+        // Average over the mini-batch: Algorithm 1 line 24 / 41 multiplies
+        // the (noised) sum by 1/B; for SGD this is the usual mean gradient.
+        scale_grads(&mut grads, 1.0 / n as f32);
+        let update_norm = grad_norm(&grads);
+        net.apply_update(&grads, self.config.learning_rate);
+        update_norm
     }
 
     /// Computes the (clipped, for private algorithms) *sum* of per-example
@@ -546,17 +528,7 @@ fn merge_clip(a: Option<ClipSummary>, b: Option<ClipSummary>) -> Option<ClipSumm
             a.factors.extend(b.factors);
             a.norms.extend(b.norms);
             a.clipped_count += b.clipped_count;
-            // Recompute the median over the union.
-            let mut sorted = a.norms.clone();
-            sorted.sort_by(|x, y| x.partial_cmp(y).unwrap_or(std::cmp::Ordering::Equal));
-            let mid = sorted.len() / 2;
-            a.median_norm = if sorted.is_empty() {
-                0.0
-            } else if sorted.len() % 2 == 0 {
-                (sorted[mid - 1] + sorted[mid]) / 2.0
-            } else {
-                sorted[mid]
-            };
+            a.median_norm = median(&a.norms);
             Some(a)
         }
     }
@@ -761,6 +733,29 @@ mod tests {
                     pa.max_abs_diff(pb) < 1e-5,
                     "accumulated step diverged: {}",
                     pa.max_abs_diff(pb)
+                );
+            }
+        }
+
+        // One microbatch runs exactly `step`'s arithmetic: same gradient
+        // sum, same noise draw, same tail, so the update is bitwise equal.
+        let mut net_c = net0.clone();
+        let mut rng_c = DivaRng::seed_from_u64(55);
+        let single =
+            trainer.step_accumulated(&mut net_c, &[(x_all.clone(), l_all.clone())], &mut rng_c);
+        let mut net_d = net0.clone();
+        let mut rng_d = DivaRng::seed_from_u64(55);
+        let plain = trainer.step(&mut net_d, &x_all, &l_all, &mut rng_d);
+        assert_eq!(single.update_norm.to_bits(), plain.update_norm.to_bits());
+        assert_eq!(single.clip, plain.clip);
+        // `(loss · B) / B` may round differently from `loss` in the last bit.
+        assert!((single.mean_loss - plain.mean_loss).abs() <= 1e-15 * plain.mean_loss.abs());
+        for (lc, ld) in net_c.layers().iter().zip(net_d.layers()) {
+            for (pc, pd) in lc.params().iter().zip(ld.params()) {
+                let (c, d) = (pc.data(), pd.data());
+                assert!(
+                    c.iter().zip(d).all(|(u, v)| u.to_bits() == v.to_bits()),
+                    "single-microbatch step diverged"
                 );
             }
         }

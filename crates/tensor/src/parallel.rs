@@ -17,8 +17,8 @@
 //!   execution starts, so scheduling can never influence results (see the
 //!   pool docs for the bit-stability argument); two back-to-back regions
 //!   reuse the same OS threads instead of paying spawn/join per region as
-//!   the original `std::thread::scope` design did. [`prewarm`] (or
-//!   [`Backend::prewarm`]) spawns the workers ahead of the first hot
+//!   the original `std::thread::scope` design did.
+//!   [`Backend::prewarm`] spawns the workers ahead of the first hot
 //!   region; [`pool_stats`] exposes occupancy and scheduling counters for
 //!   tests, benches and `diva-serve`'s `/stats`.
 //! * **Nested regions are scheduled hierarchically**, not serialized: a
@@ -104,16 +104,6 @@ pub fn effective_threads() -> usize {
         return 1;
     }
     Backend::current().threads()
-}
-
-/// Spawns (and parks) the workers an `n`-way region needs — `n - 1`, since
-/// the calling thread always executes the region's last task — so the first
-/// hot region does not pay thread-spawn latency. Idempotent: the pool never
-/// shrinks and existing workers count. A no-op for `n <= 1`.
-pub fn prewarm(n: usize) {
-    if n > 1 {
-        pool::Pool::global().ensure_workers(n - 1);
-    }
 }
 
 /// Occupancy of the persistent worker pool (see [`PoolStats`]).
@@ -235,12 +225,19 @@ impl Backend {
         f()
     }
 
-    /// Ensures the shared keep-alive pool has the workers this backend's
-    /// parallel regions will use (see [`prewarm`]). `DpTrainer` and the
-    /// bench drivers call this at configuration time so the first training
-    /// step or measured iteration runs at steady-state pool occupancy.
+    /// Spawns (and parks) the workers this backend's regions need —
+    /// `threads - 1`, since the calling thread always executes a region's
+    /// last task — so the first hot region does not pay thread-spawn
+    /// latency. Idempotent: the pool never shrinks and existing workers
+    /// count; a no-op for a serial backend. `DpTrainer`, `diva-serve` and
+    /// the bench drivers call this at configuration time so the first
+    /// training step or measured iteration runs at steady-state pool
+    /// occupancy.
     pub fn prewarm(&self) {
-        prewarm(self.threads());
+        let n = self.threads();
+        if n > 1 {
+            pool::Pool::global().ensure_workers(n - 1);
+        }
     }
 }
 
@@ -509,7 +506,7 @@ mod tests {
         let forced = Backend::with_threads(2).with_kernel(Kernel::Reference);
         let caller = std::thread::current().id();
         let started = AtomicUsize::new(0);
-        prewarm(2);
+        forced.prewarm();
         let seen = forced.install(|| {
             par_map(2, |_| {
                 started.fetch_add(1, Ordering::SeqCst);

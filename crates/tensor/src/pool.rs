@@ -10,7 +10,7 @@
 //! submitted. The pool grows monotonically to the largest region width ever
 //! requested and is shared by every parallel kernel in the workspace: the
 //! GEMM M-split, the per-example backward fan-out, the clip-reduce, the
-//! scenario runner's cell grid, and `diva_bench::run_parallel`.
+//! scenario runner's cell grid and the explorer's candidate batches.
 //!
 //! # Hierarchical scheduling
 //!
@@ -396,8 +396,8 @@ pub(crate) fn run_region(tasks: Vec<Box<dyn FnOnce() + Send + '_>>, depth: usize
     }
     let pool = Pool::global();
     pool.note_depth(depth);
-    // Workers are only guaranteed for the *outermost* region width (its
-    // caller prewarms / ensure_workers covers it). A nested region must
+    // Workers are only guaranteed for the *outermost* region width
+    // (`Backend::prewarm`, or the `ensure_workers` below). A nested region must
     // not grow the pool: its tasks run on whoever is idle, or on the
     // caller itself via helping.
     if depth <= 1 {

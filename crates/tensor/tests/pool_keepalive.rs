@@ -151,13 +151,16 @@ fn panic_in_inner_region_reraises_through_outer() {
     });
 }
 
-/// `prewarm` spawns workers ahead of the first region, and `Backend::prewarm`
-/// resolves its configured width the same way its regions will.
+/// `Backend::prewarm` spawns workers ahead of the first region, resolving
+/// its configured width the same way its regions will.
 #[test]
 fn prewarm_spawns_and_parks_workers() {
     let _guard = pool_guard();
-    parallel::prewarm(3);
-    assert!(pool_stats().spawned >= 2, "prewarm(3) must leave 2 workers");
+    Backend::with_threads(3).prewarm();
+    assert!(
+        pool_stats().spawned >= 2,
+        "Backend::with_threads(3).prewarm() must leave 2 workers"
+    );
     Backend::with_threads(6).prewarm();
     let stats = pool_stats();
     assert!(

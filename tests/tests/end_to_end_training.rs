@@ -4,9 +4,7 @@
 //! plus Poisson-sampled training wired to the RDP accountant, i.e. the
 //! complete DP-SGD system as deployed.
 
-use diva_dp::{
-    make_image_blobs, poisson_sample, DpSgdConfig, DpTrainer, RdpAccountant, TrainingAlgorithm,
-};
+use diva_dp::{make_image_blobs, poisson_sample, DpSgdConfig, DpTrainer, TrainingAlgorithm};
 use diva_nn::{Layer, Network};
 use diva_tensor::{argmax_rows, DivaRng, Tensor};
 
@@ -114,7 +112,6 @@ fn poisson_sampled_training_with_accountant() {
         noise_multiplier: sigma,
         learning_rate: 0.5,
     });
-    let accountant = RdpAccountant::new(q, sigma);
     let mut steps = 0u64;
     let mut last_loss = f64::INFINITY;
     for _ in 0..100 {
@@ -123,7 +120,7 @@ fn poisson_sampled_training_with_accountant() {
         }
         steps += 1; // privacy is charged whether or not the draw was empty
     }
-    let eps = accountant.epsilon(steps, 1e-5);
+    let eps = trainer.privacy_spent(q, steps, 1e-5).unwrap().epsilon_rdp;
     assert!(eps > 0.0 && eps < 20.0, "epsilon {eps} out of range");
     assert!(
         last_loss < 0.5,
