@@ -3,10 +3,11 @@
 //! 256³ matmul, a conv forward/weight-gradient pair, a full DP-SGD(R)
 //! training step at batch 32 (MLP and CNN), the fused patch-reuse conv
 //! first backward versus the naive per-example `im2col` path it replaced,
-//! and the accounting engine's batch-ε API versus a naive per-count query
-//! loop. Results are written to `BENCH_perf.json` at the workspace root
+//! the Gaussian mechanism's noise versus a naive Box–Muller loop, and the
+//! accounting engine's batch-ε API versus a naive per-count query loop.
+//! Results are written to `BENCH_perf.json` at the workspace root
 //! (override with `DIVA_BENCH_OUT`) so subsequent PRs have a trajectory to
-//! regress against (`bench_regress` gates the matmul/conv/DP-step/ε rows
+//! regress against (`bench_regress` gates every row with a speedup metric
 //! in CI).
 //!
 //! Backend sweep: `serial` and `parallel(auto)` rows are recorded for the
@@ -45,7 +46,7 @@ use diva_bench::harness::Harness;
 use diva_bench::perf::{PerfRecord, PerfSink};
 use diva_dp::{
     batch_epsilons, event_epsilon, AccountantKind, DpEvent, DpSgdConfig, DpTrainer,
-    TrainingAlgorithm,
+    GaussianMechanism, TrainingAlgorithm,
 };
 use diva_nn::{slice_example, Conv2dLayer, GradMode, Layer, Network, ParamGrads};
 use std::sync::Mutex;
@@ -461,6 +462,44 @@ fn bench_conv_first_backward(h: &mut Harness, sink: &mut PerfSink) {
     }
 }
 
+/// The Gaussian mechanism on 264 Ki coordinates (about the 265 k-parameter
+/// MLP of the step rows): the library's chunk-keyed Ziggurat sampler,
+/// serial and at full width, versus a naive per-element Box–Muller loop
+/// over one `DivaRng::gaussian` stream. The naive loop lives here, not in
+/// the library, which keeps one noise path. `bench_regress` gates the
+/// `speedup_vs_naive` of the `serial` and `parallel` rows.
+fn bench_dp_noise(h: &mut Harness, sink: &mut PerfSink) {
+    const PARAMS: usize = 264 * 1024;
+    let label = "dp_noise_264k";
+    let mech = GaussianMechanism::new(1.1, 1.0);
+    let std = mech.noise_std();
+    let mut rng = DivaRng::seed_from_u64(18);
+    let mut grad = vec![0.0f32; PARAMS];
+
+    h.bench(&format!("{label}/naive"), || {
+        for g in black_box(&mut grad[..]) {
+            *g += rng.gaussian(0.0, std) as f32;
+        }
+    });
+    for (short, backend) in [("serial", Backend::serial()), ("parallel", Backend::auto())] {
+        h.bench(&format!("{label}/{short}"), || {
+            backend.install(|| mech.add_noise(black_box(&mut grad[..]), &mut rng))
+        });
+    }
+
+    let naive = h.get(&format!("{label}/naive")).unwrap().secs_per_iter;
+    for short in ["naive", "serial", "parallel"] {
+        let secs = h.get(&format!("{label}/{short}")).unwrap().secs_per_iter;
+        sink.push(
+            PerfRecord::new(label)
+                .tag("backend", short)
+                .metric("ms", secs * 1e3)
+                .metric("ns_per_param", secs * 1e9 / PARAMS as f64)
+                .metric("speedup_vs_naive", naive / secs),
+        );
+    }
+}
+
 /// Accounting throughput: ε for a schedule of checkpoint step counts under
 /// both accountants — the naive path (one full `event_epsilon` query per
 /// count, each recomposing from scratch) versus the vectorized
@@ -538,6 +577,7 @@ fn main() {
     bench_nested_step(&mut h, &mut sink);
     bench_conv_dp_step(&mut h, &mut sink);
     bench_conv_first_backward(&mut h, &mut sink);
+    bench_dp_noise(&mut h, &mut sink);
     bench_eps_throughput(&mut h, &mut sink);
     match sink.write(None) {
         Ok(path) => println!("\nwrote {}", path.display()),

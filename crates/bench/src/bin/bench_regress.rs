@@ -17,13 +17,14 @@
 //! (`speedup_vs_scalar` / `speedup_vs_naive`), not wall-clock. Both sides
 //! of each speedup are measured in the same process on the same host, so
 //! the ratio survives the heterogeneous CI runners that absolute
-//! milliseconds do not. Gated rows are the matmul, convolution, DP-step,
-//! accounting-throughput and serve-latency records (names containing
-//! `matmul`, `conv`, `step`, `eps` or `serve`). The serve rows gate on
-//! `speedup_vs_uncached` — the memo-cache hit's edge over a cold request,
-//! measured against the same in-process server. The nested-scaling step
-//! row gates on `speedup_vs_nonested` — nested parallelism on versus off
-//! inside an outer region, same process, same host.
+//! milliseconds do not. Every record carrying one of those metrics is
+//! gated: the matmul, convolution, DP-step, DP-noise,
+//! accounting-throughput, serve-latency and explore rows. The serve rows
+//! gate on `speedup_vs_uncached` — the memo-cache hit's edge over a cold
+//! request, measured against the same in-process server. The
+//! nested-scaling step row gates on `speedup_vs_nonested` — nested
+//! parallelism on versus off inside an outer region, same process, same
+//! host.
 
 use diva_bench::perf::{parse_perf_json, PerfRecord};
 
@@ -35,18 +36,6 @@ const SPEEDUP_METRICS: [&str; 5] = [
     "speedup_vs_nomemo",
     "speedup_vs_nonested",
 ];
-
-fn gated(record: &PerfRecord) -> bool {
-    (record.name.contains("matmul")
-        || record.name.contains("conv")
-        || record.name.contains("step")
-        || record.name.contains("eps")
-        || record.name.contains("serve")
-        || record.name.contains("explore"))
-        && SPEEDUP_METRICS
-            .iter()
-            .any(|m| record.metric_value(m).is_some())
-}
 
 fn speedup(record: &PerfRecord) -> Option<(&'static str, f64)> {
     SPEEDUP_METRICS
@@ -91,7 +80,7 @@ fn main() {
         "{:<36} {:<10} {:>10} {:>10} {:>8}",
         "record", "backend", "baseline", "current", "ratio"
     );
-    for base in baseline.iter().filter(|r| gated(r)) {
+    for base in &baseline {
         let backend = base.tag_value("backend").unwrap_or("");
         // The scalar/naive/uncached/nomemo baseline rows' speedup is 1.0
         // by construction — nothing to gate.
@@ -175,7 +164,7 @@ fn main() {
         std::process::exit(if regressions.is_empty() { 3 } else { 1 });
     }
     if checked == 0 {
-        eprintln!("bench_regress: no gated conv/DP-step rows found in {baseline_path}");
+        eprintln!("bench_regress: no gated rows found in {baseline_path}");
         std::process::exit(2);
     }
     println!(

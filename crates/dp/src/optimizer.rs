@@ -357,12 +357,14 @@ impl DpTrainer {
         labels: &[usize],
         rng: &mut DivaRng,
     ) -> StepReport {
-        let (grads, loss, clip) = self.backend.install(|| self.clipped_sum(net, x, labels));
-        StepReport {
-            mean_loss: loss,
-            clip,
-            update_norm: self.noise_average_apply(net, grads, x.shape().dim(0), rng),
-        }
+        self.backend.install(|| {
+            let (grads, loss, clip) = self.clipped_sum(net, x, labels);
+            StepReport {
+                mean_loss: loss,
+                clip,
+                update_norm: self.noise_average_apply(net, grads, x.shape().dim(0), rng),
+            }
+        })
     }
 
     /// Runs one *logical* training step over several microbatches
@@ -385,27 +387,29 @@ impl DpTrainer {
         rng: &mut DivaRng,
     ) -> StepReport {
         assert!(!microbatches.is_empty(), "need at least one microbatch");
-        let mut total_examples = 0usize;
-        let mut acc: Option<NetworkGrads> = None;
-        let mut loss_weighted = 0.0f64;
-        let mut clip_acc: Option<ClipSummary> = None;
-        for (x, labels) in microbatches {
-            let b = x.shape().dim(0);
-            total_examples += b;
-            let (grads, loss, clip) = self.backend.install(|| self.clipped_sum(net, x, labels));
-            loss_weighted += loss * b as f64;
-            match &mut acc {
-                None => acc = Some(grads),
-                Some(a) => a.accumulate(&grads),
+        self.backend.install(|| {
+            let mut total_examples = 0usize;
+            let mut acc: Option<NetworkGrads> = None;
+            let mut loss_weighted = 0.0f64;
+            let mut clip_acc: Option<ClipSummary> = None;
+            for (x, labels) in microbatches {
+                let b = x.shape().dim(0);
+                total_examples += b;
+                let (grads, loss, clip) = self.clipped_sum(net, x, labels);
+                loss_weighted += loss * b as f64;
+                match &mut acc {
+                    None => acc = Some(grads),
+                    Some(a) => a.accumulate(&grads),
+                }
+                clip_acc = merge_clip(clip_acc, clip);
             }
-            clip_acc = merge_clip(clip_acc, clip);
-        }
-        let grads = acc.expect("at least one microbatch");
-        StepReport {
-            mean_loss: loss_weighted / total_examples as f64,
-            clip: clip_acc,
-            update_norm: self.noise_average_apply(net, grads, total_examples, rng),
-        }
+            let grads = acc.expect("at least one microbatch");
+            StepReport {
+                mean_loss: loss_weighted / total_examples as f64,
+                clip: clip_acc,
+                update_norm: self.noise_average_apply(net, grads, total_examples, rng),
+            }
+        })
     }
 
     /// The tail of every step: noises the clipped gradient sum (private
@@ -816,6 +820,43 @@ mod tests {
             sgd.privacy_spent(0.01, 500, 1e-5),
             Err(crate::AccountError::InvalidParameter(_))
         ));
+    }
+
+    /// The whole step, noise included, runs under the trainer's backend,
+    /// and every part of it is thread-count invariant: a serial and a
+    /// 3-thread trainer stay bit-identical over several steps on tensors
+    /// that are not multiples of the 4096-coordinate noise chunk.
+    #[test]
+    fn serial_and_threaded_trainers_are_bit_identical() {
+        let mut rng = DivaRng::seed_from_u64(108);
+        let net0 = Network::new(vec![
+            Layer::dense(4, 1500, true, &mut rng),
+            Layer::relu(),
+            Layer::dense(1500, 7, true, &mut rng),
+        ]);
+        let batches: Vec<_> = (0..4).map(|_| batch(&mut rng, 6)).collect();
+        let run = |backend: Backend| {
+            let trainer = DpTrainer::builder()
+                .algorithm(TrainingAlgorithm::DpSgd)
+                .noise_multiplier(1.1)
+                .learning_rate(0.1)
+                .backend(backend)
+                .build();
+            let mut net = net0.clone();
+            let mut step_rng = DivaRng::seed_from_u64(5);
+            for (x, labels) in &batches {
+                trainer.step(&mut net, x, labels, &mut step_rng);
+            }
+            net
+        };
+        let (serial, threaded) = (run(Backend::serial()), run(Backend::with_threads(3)));
+        for (ls, lt) in serial.layers().iter().zip(threaded.layers()) {
+            for (ps, pt) in ls.params().iter().zip(lt.params()) {
+                assert!(ps.len() % 4096 != 0);
+                let bits = |p: &Tensor| p.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(ps), bits(pt), "serial and 3-thread steps diverged");
+            }
+        }
     }
 
     /// Builder defaults mirror `DpTrainer::new(DpSgdConfig::default())`.
