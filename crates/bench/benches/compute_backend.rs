@@ -3,8 +3,10 @@
 //! 256³ matmul, a conv forward/weight-gradient pair, a full DP-SGD(R)
 //! training step at batch 32 (MLP and CNN), the fused patch-reuse conv
 //! first backward versus the naive per-example `im2col` path it replaced,
-//! the Gaussian mechanism's noise versus a naive Box–Muller loop, and the
-//! accounting engine's batch-ε API versus a naive per-count query loop.
+//! the Gaussian mechanism's noise versus a naive Box–Muller loop, vanilla
+//! DP-SGD's per-example backward, norms and reduce versus the per-example
+//! GEMM path it replaced, and the accounting engine's batch-ε API versus a
+//! naive per-count query loop.
 //! Results are written to `BENCH_perf.json` at the workspace root
 //! (override with `DIVA_BENCH_OUT`) so subsequent PRs have a trajectory to
 //! regress against (`bench_regress` gates every row with a speedup metric
@@ -52,8 +54,8 @@ use diva_nn::{slice_example, Conv2dLayer, GradMode, Layer, Network, ParamGrads};
 use std::sync::Mutex;
 
 use diva_tensor::{
-    conv2d, conv2d_backward_data, conv2d_backward_weight, matmul, matmul_reference, parallel,
-    Backend, Conv2dGeom, DivaRng, Kernel, Tensor,
+    conv2d, conv2d_backward_data, conv2d_backward_weight, matmul, matmul_nt, matmul_reference,
+    matmul_tn, parallel, softmax_cross_entropy, Backend, Conv2dGeom, DivaRng, Kernel, Tensor,
 };
 
 /// GFLOP/s for a GEMM of the given shape at the measured seconds/iter.
@@ -500,6 +502,139 @@ fn bench_dp_noise(h: &mut Harness, sink: &mut PerfSink) {
     }
 }
 
+/// Vanilla DP-SGD's per-example pipeline on `step_net` at `B = 32`:
+/// `backward(PerExample)`, the per-example norms and the clipped weighted
+/// reduce, without forward, noise or update. `naive` is a bench-local copy
+/// of the path the library used to take (a `K = 1` GEMM and fresh tensors
+/// per example, a separate norm pass, one reduce job per tensor), run
+/// serially; `serial` and `parallel` run the library path. `bench_regress`
+/// gates the `speedup_vs_naive` of the `serial` and `parallel` rows.
+fn bench_per_example_pipeline(h: &mut Harness, sink: &mut PerfSink) {
+    const B: usize = 32;
+    let label = "dpsgd_per_example_b32";
+    let mut rng = DivaRng::seed_from_u64(19);
+    let net = step_net(&mut rng);
+    let x = Tensor::uniform(&[B, 256], -1.0, 1.0, &mut rng);
+    let labels: Vec<usize> = (0..B).map(|i| i % 10).collect();
+    let (logits, caches) = net.forward(&x);
+    let grad_loss = softmax_cross_entropy(&logits, &labels).grad_logits;
+    let mut inputs = vec![x];
+    for layer in net.layers() {
+        let next = layer.forward(inputs.last().expect("starts with x")).0;
+        inputs.push(next);
+    }
+    let clip = |sq: &[f64]| -> Vec<f64> { sq.iter().map(|s| (1.0 / s.sqrt()).min(1.0)).collect() };
+    let library = || {
+        let per_ex = net.backward(&caches, &grad_loss, GradMode::PerExample);
+        per_ex
+            .weighted_reduce(&clip(&per_ex.per_example_sq_norms()))
+            .flatten_per_batch()
+    };
+    let naive = || {
+        let per_ex = naive_per_example(&net, &caches, &inputs, &grad_loss);
+        let sq: Vec<f64> = (0..B)
+            .map(|i| {
+                per_ex
+                    .iter()
+                    .map(|layer| layer[i].iter().map(Tensor::squared_norm).sum::<f64>())
+                    .sum()
+            })
+            .collect();
+        naive_reduce(&per_ex, &clip(&sq))
+    };
+
+    let safe = Backend::serial().with_kernel(Kernel::Safe);
+    let (a, b) = (safe.install(library), safe.install(naive));
+    assert_eq!(
+        a.len(),
+        b.len(),
+        "{label}: paths disagree on parameter count"
+    );
+    for (x, y) in a.iter().zip(&b) {
+        assert!(
+            (x - y).abs() <= 1e-6 * x.abs().max(1e-3),
+            "{label}: library and naive reduce diverged: {x} vs {y}"
+        );
+    }
+
+    h.bench(&format!("{label}/naive"), || safe.install(naive));
+    for (short, backend) in [
+        ("serial", safe),
+        ("parallel", Backend::auto().with_kernel(Kernel::Safe)),
+    ] {
+        h.bench(&format!("{label}/{short}"), || backend.install(library));
+    }
+
+    let naive = h.get(&format!("{label}/naive")).unwrap().secs_per_iter;
+    for short in ["naive", "serial", "parallel"] {
+        let secs = h.get(&format!("{label}/{short}")).unwrap().secs_per_iter;
+        sink.push(
+            PerfRecord::new(label)
+                .tag("backend", short)
+                .tag("algorithm", TrainingAlgorithm::DpSgd.label())
+                .metric("ms", secs * 1e3)
+                .metric("speedup_vs_naive", naive / secs),
+        );
+    }
+}
+
+/// The former per-example backward: for every dense layer, each example's
+/// gradient is a fresh `(I, 1, O)` `matmul_tn` of two copied rows (plus a
+/// copied bias row); the input gradient is the same `matmul_nt` the layer
+/// runs. Returns `grads[layer][example][param]` for the dense layers.
+fn naive_per_example(
+    net: &Network,
+    caches: &[diva_nn::LayerCache],
+    inputs: &[Tensor],
+    grad_loss: &Tensor,
+) -> Vec<Vec<Vec<Tensor>>> {
+    let mut out = Vec::new();
+    let mut grad = grad_loss.clone();
+    for (idx, layer) in net.layers().iter().enumerate().rev() {
+        let Layer::Dense(dense) = layer else {
+            grad = layer
+                .backward(&caches[idx], &grad, GradMode::PerBatch)
+                .grad_input
+                .expect("activation layers always return an input gradient");
+            continue;
+        };
+        let (i_dim, o_dim) = (dense.input(), dense.output());
+        let x = &inputs[idx];
+        out.push(parallel::par_map(grad.dims2().0, |i| {
+            let xi = Tensor::from_vec(x.row(i).to_vec(), &[1, i_dim]);
+            let gi = Tensor::from_vec(grad.row(i).to_vec(), &[1, o_dim]);
+            vec![matmul_tn(&xi, &gi), gi.reshape(&[o_dim])]
+        }));
+        if idx > 0 {
+            grad = matmul_nt(&grad, dense.params()[0]);
+        }
+    }
+    out.reverse();
+    out
+}
+
+/// The former weighted reduce: one job per parameter tensor, each a full
+/// pass over the batch. Returns the reduced gradients flattened in layer
+/// and parameter order.
+fn naive_reduce(per_ex: &[Vec<Vec<Tensor>>], weights: &[f64]) -> Vec<f32> {
+    let jobs: Vec<(usize, usize)> = per_ex
+        .iter()
+        .enumerate()
+        .flat_map(|(li, layer)| (0..layer[0].len()).map(move |pi| (li, pi)))
+        .collect();
+    parallel::par_map(jobs.len(), |j| {
+        let (li, pi) = jobs[j];
+        let mut acc = Tensor::zeros(per_ex[li][0][pi].shape().dims());
+        for (ex, &w) in per_ex[li].iter().zip(weights) {
+            diva_tensor::add_scaled(&mut acc, &ex[pi], w as f32);
+        }
+        acc
+    })
+    .iter()
+    .flat_map(|t| t.data().to_vec())
+    .collect()
+}
+
 /// Accounting throughput: ε for a schedule of checkpoint step counts under
 /// both accountants — the naive path (one full `event_epsilon` query per
 /// count, each recomposing from scratch) versus the vectorized
@@ -578,6 +713,7 @@ fn main() {
     bench_conv_dp_step(&mut h, &mut sink);
     bench_conv_first_backward(&mut h, &mut sink);
     bench_dp_noise(&mut h, &mut sink);
+    bench_per_example_pipeline(&mut h, &mut sink);
     bench_eps_throughput(&mut h, &mut sink);
     match sink.write(None) {
         Ok(path) => println!("\nwrote {}", path.display()),

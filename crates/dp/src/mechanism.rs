@@ -115,6 +115,7 @@ impl GaussianMechanism {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use diva_nn::{GradMode, Layer, Network};
     use diva_tensor::Tensor;
 
     #[test]
@@ -256,13 +257,20 @@ mod tests {
         mech.add_noise(&mut b, &mut rng);
         assert_ne!(a, b);
 
-        let mut grads = NetworkGrads {
-            layers: vec![
-                ParamGrads::PerBatch(vec![Tensor::zeros(&[8, 8]), Tensor::zeros(&[64])]),
-                ParamGrads::None,
-                ParamGrads::PerBatch(vec![Tensor::zeros(&[64])]),
-            ],
-        };
+        // Zeroed per-batch gradients shaped [1, 64], [64], none, [64, 1]:
+        // three tensors of one length, two of them in the same layer.
+        let net = Network::new(vec![
+            Layer::dense(1, 64, true, &mut rng),
+            Layer::relu(),
+            Layer::dense(64, 1, false, &mut rng),
+        ]);
+        let (y, caches) = net.forward(&Tensor::zeros(&[2, 1]));
+        let mut grads = net.backward(&caches, &y, GradMode::PerBatch);
+        for layer in &mut grads.layers {
+            if let ParamGrads::PerBatch(ts) = layer {
+                ts.iter_mut().for_each(|t| t.scale(0.0));
+            }
+        }
         mech.add_noise_to_grads(&mut grads, &mut rng);
         let noise: Vec<&[f32]> = grads
             .layers
@@ -274,6 +282,7 @@ mod tests {
             .flatten()
             .collect();
         assert_eq!(noise.len(), 3);
+        assert!(noise.iter().all(|x| x.len() == 64));
         for (i, x) in noise.iter().enumerate() {
             assert!(x.iter().all(|&v| v != 0.0));
             for y in &noise[i + 1..] {

@@ -825,7 +825,9 @@ mod tests {
     /// The whole step, noise included, runs under the trainer's backend,
     /// and every part of it is thread-count invariant: a serial and a
     /// 3-thread trainer stay bit-identical over several steps on tensors
-    /// that are not multiples of the 4096-coordinate noise chunk.
+    /// that are not multiples of the 4096-coordinate noise chunk. The
+    /// accumulated step's microbatches differ in size, so each one's
+    /// backward finds a parked per-example set of the wrong shape.
     #[test]
     fn serial_and_threaded_trainers_are_bit_identical() {
         let mut rng = DivaRng::seed_from_u64(108);
@@ -835,6 +837,7 @@ mod tests {
             Layer::dense(1500, 7, true, &mut rng),
         ]);
         let batches: Vec<_> = (0..4).map(|_| batch(&mut rng, 6)).collect();
+        let microbatches: Vec<_> = [6, 3, 5].map(|b| batch(&mut rng, b)).into();
         let run = |backend: Backend| {
             let trainer = DpTrainer::builder()
                 .algorithm(TrainingAlgorithm::DpSgd)
@@ -847,6 +850,7 @@ mod tests {
             for (x, labels) in &batches {
                 trainer.step(&mut net, x, labels, &mut step_rng);
             }
+            trainer.step_accumulated(&mut net, &microbatches, &mut step_rng);
             net
         };
         let (serial, threaded) = (run(Backend::serial()), run(Backend::with_threads(3)));

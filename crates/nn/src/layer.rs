@@ -7,6 +7,7 @@ use crate::dense::{Dense, DenseCache};
 use crate::embedding::{Embedding, EmbeddingCache};
 use crate::lstm::{Lstm, LstmCache};
 use crate::norm::{GroupNorm, GroupNormCache};
+use crate::per_example;
 use crate::pool::{AvgPool2d, MaxPool2d, PoolCache};
 use crate::simple::{
     Flatten, FlattenCache, Relu, ReluCache, Sigmoid, SigmoidCache, Tanh, TanhCache,
@@ -312,6 +313,27 @@ impl Layer {
             (Layer::Tanh(l), LayerCache::Tanh(c)) => l.backward(c, grad_out),
             _ => panic!("layer/cache type mismatch in backward"),
         }
+    }
+
+    /// The `PerExample` backward of [`crate::Network::backward`], which also
+    /// returns each example's squared gradient norm (empty for a layer
+    /// without parameters). A dense layer overwrites `recycled` in place
+    /// (empty, or a set it [`fits`](Dense::fits)) and sums each norm while
+    /// the example is still in cache; other layers ignore `recycled`, and
+    /// their norms are summed right after their backward.
+    pub(crate) fn backward_per_example(
+        &self,
+        cache: &LayerCache,
+        grad_out: &Tensor,
+        need_input_grad: bool,
+        recycled: Vec<Vec<Tensor>>,
+    ) -> (BackwardOutput, Vec<f64>) {
+        if let (Layer::Dense(l), LayerCache::Dense(c)) = (self, cache) {
+            return l.backward_per_example(c, grad_out, need_input_grad, recycled);
+        }
+        let out = self.backward_opt(cache, grad_out, GradMode::PerExample, need_input_grad);
+        let norms = per_example::layer_sq_norms(&out.grads);
+        (out, norms)
     }
 
     /// Immutable views of the layer's trainable parameters.

@@ -25,8 +25,10 @@
 //! batch with
 //! `im2col` exactly once per forward (`diva_tensor::PatchBuffer`) and
 //! reuse both the patch buffer and its packed GEMM panels across DP-SGD(R)'s
-//! two backward passes. See `ARCHITECTURE.md` at the workspace root for
-//! the full layer map.
+//! two backward passes. Vanilla DP-SGD's dense per-example gradients are
+//! written into the set the thread's previous step dropped, and each
+//! example's squared norm is summed as it is written. See `ARCHITECTURE.md`
+//! at the workspace root for the full layer map.
 //!
 //! # Example
 //!
@@ -56,6 +58,7 @@ mod layer;
 mod lstm;
 mod network;
 mod norm;
+mod per_example;
 mod pool;
 mod simple;
 

@@ -3,6 +3,19 @@
 use diva_tensor::{parallel, Tensor};
 
 use crate::layer::{GradMode, Layer, LayerCache, ParamGrads};
+use crate::per_example;
+
+/// Elements per job of the weighted reduce: 16 KiB of accumulator, which
+/// stays in L1 while every example's matching slice streams past it.
+const REDUCE_TILE: usize = 4096;
+
+/// The bit patterns of per-layer norms, for exact comparison.
+fn bits(norms: &[Vec<f64>]) -> Vec<Vec<u64>> {
+    norms
+        .iter()
+        .map(|n| n.iter().map(|v| v.to_bits()).collect())
+        .collect()
+}
 
 /// A feed-forward stack of [`Layer`]s applied in order.
 ///
@@ -17,10 +30,33 @@ pub struct Network {
 
 /// Whole-network gradients, one [`ParamGrads`] per layer (parameter-free
 /// layers contribute [`ParamGrads::None`]).
+///
+/// A set returned by [`Network::backward`] in `PerExample` mode also keeps
+/// each example's squared norms, summed as the gradients were written; they
+/// describe the tensors as returned, so edit per-example tensors only on a
+/// set whose norms you no longer need (debug builds panic on a stale read).
+/// Such a set is built only by `backward`, never by a struct literal, so
+/// its norms always start out matching. When a set holding per-example
+/// gradients drops, its storage is parked for the next `PerExample`
+/// backward on the same thread (see `ARCHITECTURE.md`, `crates/nn`).
 #[derive(Clone, Debug)]
 pub struct NetworkGrads {
     /// Per-layer gradients, in layer order.
     pub layers: Vec<ParamGrads>,
+    /// `sq_norms[layer][example]`, when computed during the backward.
+    sq_norms: Option<Vec<Vec<f64>>>,
+}
+
+impl Drop for NetworkGrads {
+    fn drop(&mut self) {
+        if self
+            .layers
+            .iter()
+            .any(|g| matches!(g, ParamGrads::PerExample(_)))
+        {
+            per_example::park(std::mem::take(&mut self.layers));
+        }
+    }
 }
 
 impl Network {
@@ -67,6 +103,11 @@ impl Network {
     /// layer this skips a whole `(B·P·Q, C_out, C_in·R·S)` GEMM plus a
     /// `col2im` per pass, which DP-SGD(R) would otherwise pay twice).
     ///
+    /// In `PerExample` mode the dense layers overwrite the per-example set
+    /// this thread parked when its last one dropped, if its shapes match;
+    /// otherwise, and in every other mode, the parked set is freed before any
+    /// work starts. Each example's squared norms are kept in the result.
+    ///
     /// # Panics
     ///
     /// Panics if `caches` was not produced by a matching `forward` call.
@@ -83,10 +124,26 @@ impl Network {
             caches.len(),
             self.layers.len()
         );
+        let parked = per_example::take_parked();
+        let mut recycled = match mode {
+            GradMode::PerExample => self.reusable(parked, grad_loss.shape().dim(0)),
+            _ => {
+                drop(parked);
+                Vec::new()
+            }
+        };
         let mut grads = vec![ParamGrads::None; self.layers.len()];
+        let mut norms = vec![Vec::new(); self.layers.len()];
         let mut grad = grad_loss.clone();
         for (idx, (layer, cache)) in self.layers.iter().zip(caches).enumerate().rev() {
-            let out = layer.backward_opt(cache, &grad, mode, idx > 0);
+            let out = if mode == GradMode::PerExample {
+                let storage = recycled.pop().unwrap_or_default();
+                let (out, layer_norms) = layer.backward_per_example(cache, &grad, idx > 0, storage);
+                norms[idx] = layer_norms;
+                out
+            } else {
+                layer.backward_opt(cache, &grad, mode, idx > 0)
+            };
             grads[idx] = out.grads;
             if idx > 0 {
                 grad = out
@@ -94,7 +151,30 @@ impl Network {
                     .expect("non-first layers must derive an input gradient");
             }
         }
-        NetworkGrads { layers: grads }
+        NetworkGrads {
+            layers: grads,
+            sq_norms: (mode == GradMode::PerExample).then_some(norms),
+        }
+    }
+
+    /// The dense layers' storage from `parked`, one entry per layer in layer
+    /// order (empty for other layers), if every dense layer's entry fits a
+    /// batch of `b`; otherwise nothing, and `parked` is freed here.
+    fn reusable(&self, parked: Option<Vec<ParamGrads>>, b: usize) -> Vec<Vec<Vec<Tensor>>> {
+        let Some(parked) = parked.filter(|p| p.len() == self.layers.len()) else {
+            return Vec::new();
+        };
+        let mut storage = Vec::with_capacity(parked.len());
+        for (layer, g) in self.layers.iter().zip(parked) {
+            match (layer, g) {
+                (Layer::Dense(d), ParamGrads::PerExample(set)) if d.fits(&set, b) => {
+                    storage.push(set)
+                }
+                (Layer::Dense(_), _) => return Vec::new(),
+                _ => storage.push(Vec::new()),
+            }
+        }
+        storage
     }
 
     /// The fused clip-and-reduce backward of DP-SGD(R) (paper Algorithm 1
@@ -162,40 +242,26 @@ impl NetworkGrads {
     /// For per-example gradients: the squared L2 norm of each example's
     /// full (all-layer) gradient vector — Algorithm 1 line 22.
     ///
-    /// Works for both `PerExample` (sums tensor norms) and `SqNorms`
-    /// (sums the pre-computed per-layer squared norms, as DP-SGD(R)'s first
-    /// pass does).
+    /// The per-layer norms of [`Self::per_layer_sq_norms`] (kept from the
+    /// backward, or recomputed in the same lane order), added in layer
+    /// order. Works for both `PerExample` and `SqNorms` (the pre-computed
+    /// per-layer squared norms of DP-SGD(R)'s first pass).
     ///
     /// # Panics
     ///
     /// Panics if the gradients are per-batch, or per-example counts differ
     /// across layers.
     pub fn per_example_sq_norms(&self) -> Vec<f64> {
-        let mut norms: Option<Vec<f64>> = None;
-        for g in &self.layers {
-            let layer_norms: Option<Vec<f64>> = match g {
-                ParamGrads::None => None,
-                ParamGrads::PerExample(per_ex) => Some(parallel::par_map(per_ex.len(), |i| {
-                    per_ex[i].iter().map(Tensor::squared_norm).sum()
-                })),
-                ParamGrads::SqNorms(n) => Some(n.clone()),
-                ParamGrads::PerBatch(_) => {
-                    panic!("per-example norms requested from per-batch gradients")
-                }
-            };
-            if let Some(ln) = layer_norms {
-                match &mut norms {
-                    None => norms = Some(ln),
-                    Some(acc) => {
-                        assert_eq!(acc.len(), ln.len(), "batch size mismatch across layers");
-                        for (a, b) in acc.iter_mut().zip(ln) {
-                            *a += b;
-                        }
-                    }
-                }
+        let per_layer = self.per_layer_sq_norms();
+        let mut layers = per_layer.iter().filter(|n| !n.is_empty());
+        let mut acc = layers.next().cloned().unwrap_or_default();
+        for ln in layers {
+            assert_eq!(acc.len(), ln.len(), "batch size mismatch across layers");
+            for (a, b) in acc.iter_mut().zip(ln) {
+                *a += b;
             }
         }
-        norms.unwrap_or_default()
+        acc
     }
 
     /// Per-layer, per-example squared gradient norms: `out[layer][example]`.
@@ -203,24 +269,31 @@ impl NetworkGrads {
     /// clipping (an Opacus-style extension of Algorithm 1 where each layer
     /// gets its own bound `C_l` with `Σ C_l² = C²`).
     ///
+    /// Returns the norms kept from the backward when present; otherwise they
+    /// are recomputed from `layers` in the same lane order.
+    ///
     /// # Panics
     ///
-    /// Panics if any layer gradient is per-batch.
+    /// Panics if any layer gradient is per-batch. With debug assertions on,
+    /// also panics if kept norms no longer match `layers` bit for bit (the
+    /// per-example tensors were edited after the backward).
     pub fn per_layer_sq_norms(&self) -> Vec<Vec<f64>> {
-        self.layers
-            .iter()
-            .map(|g| match g {
-                ParamGrads::None => Vec::new(),
-                ParamGrads::PerExample(per_ex) => per_ex
-                    .iter()
-                    .map(|ex| ex.iter().map(Tensor::squared_norm).sum())
-                    .collect(),
-                ParamGrads::SqNorms(n) => n.clone(),
-                ParamGrads::PerBatch(_) => {
-                    panic!("per-layer norms requested from per-batch gradients")
-                }
-            })
-            .collect()
+        let recompute = || -> Vec<Vec<f64>> {
+            self.layers
+                .iter()
+                .map(per_example::layer_sq_norms)
+                .collect()
+        };
+        match &self.sq_norms {
+            Some(kept) => {
+                debug_assert!(
+                    bits(kept) == bits(&recompute()),
+                    "kept per-example norms are stale: the tensors changed after the backward"
+                );
+                kept.clone()
+            }
+            None => recompute(),
+        }
     }
 
     /// Like [`Self::weighted_reduce`], but with independent weights per
@@ -240,63 +313,74 @@ impl NetworkGrads {
         self.reduce_with(&per_layer)
     }
 
-    /// Shared clip-reduce core: one job per parameter tensor, each a single
-    /// deterministic pass over the batch (`acc += wᵢ · gᵢ` in example
-    /// order), fanned out over the shared pool. Because every job keeps the
-    /// serial accumulation order, the result is bit-identical whatever the
-    /// thread count.
+    /// Shared clip-reduce core: every parameter tensor is cut into
+    /// `REDUCE_TILE`-element tiles that fan out over the shared pool, each a
+    /// single deterministic pass over the batch (`acc = fma(gᵢ, wᵢ, acc)` in
+    /// example order). Every element keeps the serial accumulation order, so
+    /// the result is bit-identical whatever the thread count.
     fn reduce_with(&self, weights: &[&[f64]]) -> NetworkGrads {
-        let jobs: Vec<(usize, usize)> = self
+        let mut reduced: Vec<Vec<Tensor>> = self
             .layers
             .iter()
             .enumerate()
-            .flat_map(|(li, g)| {
-                let n_params = match g {
-                    ParamGrads::None => 0,
-                    ParamGrads::PerExample(per_ex) => {
-                        assert_eq!(
-                            per_ex.len(),
-                            weights[li].len(),
-                            "weight count mismatch in layer {li}"
+            .map(|(li, g)| match g {
+                ParamGrads::None => Vec::new(),
+                ParamGrads::PerExample(per_ex) => {
+                    assert_eq!(
+                        per_ex.len(),
+                        weights[li].len(),
+                        "weight count mismatch in layer {li}"
+                    );
+                    let Some(first) = per_ex.first() else {
+                        return Vec::new();
+                    };
+                    for ex in per_ex {
+                        assert!(
+                            ex.len() == first.len()
+                                && ex.iter().zip(first).all(|(a, b)| a.shape() == b.shape()),
+                            "per-example gradient shapes differ in layer {li}"
                         );
-                        per_ex.first().map_or(0, Vec::len)
                     }
-                    other => {
-                        panic!("weighted reduce requires per-example gradients, got {other:?}")
-                    }
-                };
-                (0..n_params).map(move |pi| (li, pi))
+                    first
+                        .iter()
+                        .map(|t| Tensor::zeros(t.shape().dims()))
+                        .collect()
+                }
+                other => panic!("weighted reduce requires per-example gradients, got {other:?}"),
             })
             .collect();
-        let mut reduced = parallel::par_map(jobs.len(), |j| {
-            let (li, pi) = jobs[j];
-            let ParamGrads::PerExample(per_ex) = &self.layers[li] else {
-                unreachable!("job list only references per-example layers")
-            };
-            let mut acc = Tensor::zeros(per_ex[0][pi].shape().dims());
-            for (ex, &w) in per_ex.iter().zip(weights[li]) {
-                diva_tensor::add_scaled(&mut acc, &ex[pi], w as f32);
+        let mut tiles: Vec<(usize, usize, usize, &mut [f32])> = Vec::new();
+        for (li, params) in reduced.iter_mut().enumerate() {
+            for (pi, t) in params.iter_mut().enumerate() {
+                for (k, tile) in t.data_mut().chunks_mut(REDUCE_TILE).enumerate() {
+                    tiles.push((li, pi, k * REDUCE_TILE, tile));
+                }
             }
-            acc
-        })
-        .into_iter();
+        }
+        parallel::par_chunks_mut(&mut tiles, 1, |_, job| {
+            let (li, pi, start, acc) = &mut job[0];
+            let ParamGrads::PerExample(per_ex) = &self.layers[*li] else {
+                unreachable!("tiles only cover per-example layers")
+            };
+            for (ex, &w) in per_ex.iter().zip(weights[*li]) {
+                let src = &ex[*pi].data()[*start..*start + acc.len()];
+                diva_tensor::axpy(acc, src, w as f32);
+            }
+        });
+        drop(tiles);
         let layers = self
             .layers
             .iter()
-            .map(|g| match g {
+            .zip(reduced)
+            .map(|(g, r)| match g {
                 ParamGrads::None => ParamGrads::None,
-                ParamGrads::PerExample(per_ex) => {
-                    let n_params = per_ex.first().map_or(0, Vec::len);
-                    ParamGrads::PerBatch(
-                        (0..n_params)
-                            .map(|_| reduced.next().expect("job list covers every param"))
-                            .collect(),
-                    )
-                }
-                _ => unreachable!("validated while building the job list"),
+                _ => ParamGrads::PerBatch(r),
             })
             .collect();
-        NetworkGrads { layers }
+        NetworkGrads {
+            layers,
+            sq_norms: None,
+        }
     }
 
     /// Elementwise sum of two gradient sets (used by microbatch
@@ -325,7 +409,7 @@ impl NetworkGrads {
     /// example `i` by `weights[i]` first (weights of all-ones gives the
     /// plain sum). This is Algorithm 1 lines 23–24 without the noise: a
     /// single fused pass per parameter — no clipped per-example copies are
-    /// materialized — parallelized across parameter tensors.
+    /// materialized — parallelized across tiles of every parameter tensor.
     ///
     /// # Panics
     ///
@@ -399,6 +483,41 @@ mod tests {
         for (x, y) in a.iter().zip(&b) {
             assert!((x - y).abs() < 1e-6 * x.max(1.0));
         }
+    }
+
+    #[test]
+    fn cached_norms_equal_their_recomputation() {
+        let mut rng = DivaRng::seed_from_u64(17);
+        let net = mlp(&mut rng);
+        let x = Tensor::uniform(&[5, 6], -1.0, 1.0, &mut rng);
+        let (y, caches) = net.forward(&x);
+        let loss = softmax_cross_entropy(&y, &[0, 1, 2, 3, 0]);
+        let cached = net.backward(&caches, &loss.grad_logits, GradMode::PerExample);
+        let mut uncached = cached.clone();
+        uncached.sq_norms = None;
+        let to_bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        assert!(cached.sq_norms.is_some());
+        assert_eq!(
+            to_bits(cached.per_example_sq_norms()),
+            to_bits(uncached.per_example_sq_norms())
+        );
+        assert_eq!(cached.per_layer_sq_norms(), uncached.per_layer_sq_norms());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "kept per-example norms are stale")]
+    fn editing_a_tensor_after_backward_makes_kept_norms_fail_loudly() {
+        let mut rng = DivaRng::seed_from_u64(18);
+        let net = mlp(&mut rng);
+        let x = Tensor::uniform(&[3, 6], -1.0, 1.0, &mut rng);
+        let (y, caches) = net.forward(&x);
+        let loss = softmax_cross_entropy(&y, &[0, 1, 2]);
+        let mut grads = net.backward(&caches, &loss.grad_logits, GradMode::PerExample);
+        if let ParamGrads::PerExample(per_ex) = &mut grads.layers[0] {
+            per_ex[1][0].scale(2.0);
+        }
+        let _ = grads.per_example_sq_norms();
     }
 
     #[test]

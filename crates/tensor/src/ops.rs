@@ -6,12 +6,6 @@
 
 use crate::tensor::Tensor;
 
-/// Width of the manually unrolled `add_scaled` strips: matches the widest
-/// `f32` vector register the backend targets (one AVX-512 register, two
-/// AVX2 registers), so the constant-trip-count strip loop compiles to
-/// branch-free FMA vector code.
-const LANES: usize = 16;
-
 /// Applies ReLU elementwise, returning a new tensor.
 pub fn relu(x: &Tensor) -> Tensor {
     let mut out = x.clone();
@@ -60,23 +54,22 @@ pub fn add_scaled(dst: &mut Tensor, src: &Tensor, scale: f32) {
         dst.shape(),
         src.shape()
     );
-    let n = dst.len();
-    let dv = &mut dst.data_mut()[..n];
-    let sv = &src.data()[..n];
-    let mut d_chunks = dv.chunks_exact_mut(LANES);
-    let mut s_chunks = sv.chunks_exact(LANES);
-    // Fixed-width strips with fused multiply-add: the axpy kernel at the
-    // heart of every weighted clip-reduce.
-    for (dc, sc) in (&mut d_chunks).zip(&mut s_chunks) {
-        for (d, &s) in dc.iter_mut().zip(sc) {
-            *d = s.mul_add(scale, *d);
-        }
-    }
-    for (d, &s) in d_chunks
-        .into_remainder()
-        .iter_mut()
-        .zip(s_chunks.remainder())
-    {
+    axpy(dst.data_mut(), src.data(), scale);
+}
+
+/// `dst[k] = fma(src[k], scale, dst[k])` for every `k`: the axpy kernel at
+/// the heart of every weighted clip-reduce, on slices, so a caller can run
+/// it tile by tile.
+///
+/// # Panics
+///
+/// Panics if the lengths differ.
+#[inline]
+pub fn axpy(dst: &mut [f32], src: &[f32], scale: f32) {
+    assert_eq!(dst.len(), src.len(), "axpy length mismatch");
+    // A plain zipped loop: the compiler vectorizes and unrolls it on its
+    // own, and it ran the tiled clip-reduce faster than 16-wide strips.
+    for (d, &s) in dst.iter_mut().zip(src) {
         *d = s.mul_add(scale, *d);
     }
 }

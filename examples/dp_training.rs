@@ -4,7 +4,7 @@
 //! tight PLD bound next to the conservative RDP one), and verifies the
 //! DP-SGD ≡ DP-SGD(R) identity the paper exploits.
 //!
-//! Run with: `cargo run -p diva-examples --bin dp_training`
+//! Run with: `cargo run --release --example dp_training`
 
 use diva_dp::{make_blobs, DpSgdConfig, DpTrainer, TrainingAlgorithm};
 use diva_nn::{Layer, Network};
@@ -103,6 +103,10 @@ fn main() {
                 .map(|(pa, pb)| pa.max_abs_diff(pb))
         })
         .fold(0.0f32, f32::max);
+    assert!(
+        max_diff < 1e-4,
+        "DP-SGD and DP-SGD(R) updates diverged by {max_diff:.2e}"
+    );
     println!(
         "DP-SGD vs DP-SGD(R) update difference (same noise): {max_diff:.2e} — identical \
          up to float reassociation, the property the paper's Algorithm 1 relies on"
